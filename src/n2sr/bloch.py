@@ -143,10 +143,28 @@ def integrate_bloch_rwa(
     """Integrate the resonant RWA Bloch equations from t = 0 to t_end.
 
     Classical fixed-step fourth-order Runge-Kutta on (v, w), with the pulse
-    area theta carried along as a fourth component (u stays identically at
-    its initial value 0). The actual step is t_end / n with n chosen so the
-    step does not exceed the requested dt and the grid lands exactly on
-    t_end. Raises NumericalError if the state stops being finite.
+    area theta carried along (u stays identically at its initial value 0).
+    The actual step is h = t_end / n with n chosen so the step does not
+    exceed the requested dt and the grid lands exactly on t_end.
+
+    With z = w + i v the system is dz/dt = i Omega(t) z, so one RK4 step is
+    a multiplication by a complex factor built from the step's three Omega
+    nodes (start, midpoint, end):
+
+        k1 = i Omega_1,              k2 = i Omega_2 (1 + h/2 k1),
+        k3 = i Omega_2 (1 + h/2 k2), k4 = i Omega_3 (1 + h k3),
+        g  = 1 + h/6 (k1 + 2 k2 + 2 k3 + k4).
+
+    The trajectory is z_n = w0 g_1 ... g_n, a cumulative product. Expanded
+    with a_j = h Omega_j, the factor is
+
+        Re g = 1 - a_2 (a_1 + a_2 + a_3) / 6 + a_1 a_2^2 a_3 / 24,
+        Im g = dtheta - a_2^2 (a_1 + a_3) / 12,
+
+    where dtheta = (a_1 + 4 a_2 + a_3) / 6 is the step's Simpson increment
+    of the pulse area theta, whose cumulative sum is the theta column.
+    Raises NumericalError, naming the first bad time, if the state stops
+    being finite.
     """
     if not t_end > 0.0:
         raise ValueError("t_end must be positive")
@@ -161,38 +179,41 @@ def integrate_bloch_rwa(
     h = t_end / n
 
     # Envelope values at all full- and half-step nodes, evaluated in one shot.
-    nodes = np.linspace(0.0, t_end, 2 * n + 1)
-    omega = rabi_frequency_peak(pulse, medium) * np.asarray(f(nodes), dtype=float)
+    # Temporaries are kept few: at a few thousand steps, first-touch page
+    # faults on fresh arrays cost more than the arithmetic.
+    omega = rabi_frequency_peak(pulse, medium) * np.asarray(
+        f(np.linspace(0.0, t_end, 2 * n + 1)), dtype=float
+    )
+    o1, o2, o3 = omega[0:-1:2], omega[1::2], omega[2::2]
 
-    v_arr = np.empty(n + 1)
-    w_arr = np.empty(n + 1)
-    th_arr = np.empty(n + 1)
-    v, w, th = 0.0, medium.w0, 0.0
-    v_arr[0], w_arr[0], th_arr[0] = v, w, th
+    dtheta = (h / 6.0) * (o1 + 4.0 * o2 + o3)
+    theta = np.empty(n + 1)
+    theta[0] = 0.0
+    np.cumsum(dtheta, out=theta[1:])
 
-    for i in range(n):
-        o1, o2, o3 = omega[2 * i], omega[2 * i + 1], omega[2 * i + 2]
-        k1v = o1 * w
-        k1w = -o1 * v
-        k2v = o2 * (w + 0.5 * h * k1w)
-        k2w = -o2 * (v + 0.5 * h * k1v)
-        k3v = o2 * (w + 0.5 * h * k2w)
-        k3w = -o2 * (v + 0.5 * h * k2v)
-        k4v = o3 * (w + h * k3w)
-        k4w = -o3 * (v + h * k3v)
-        v += (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        w += (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        th += (h / 6.0) * (o1 + 4.0 * o2 + o3)
-        if not (math.isfinite(v) and math.isfinite(w)):
-            raise NumericalError(f"Bloch state became non-finite at t = {(i + 1) * h:.6e} s")
-        v_arr[i + 1], w_arr[i + 1], th_arr[i + 1] = v, w, th
+    # Omega is not needed again, so scale it in place to a_j = h Omega_j.
+    a = np.multiply(omega, h, out=omega)
+    a1, a2, a3 = a[0:-1:2], a[1::2], a[2::2]
+    outer = a1 + a3
+    a2_sq = a2 * a2
+    # z[0] = 1 and z[i] = g_i, so w0 times the cumulative product is the trajectory.
+    z = np.empty(n + 1, dtype=complex)
+    z[0] = 1.0
+    z.real[1:] = 1.0 - a2 * (outer + a2) / 6.0 + a1 * a3 * a2_sq / 24.0
+    z.imag[1:] = dtheta - a2_sq * outer / 12.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.cumprod(z, out=z)
+        z *= medium.w0
+    bad = np.flatnonzero(~np.isfinite(z))
+    if bad.size:
+        raise NumericalError(f"Bloch state became non-finite at t = {bad[0] * h:.6e} s")
 
     return BlochTrajectory(
         t=np.linspace(0.0, t_end, n + 1),
         u=np.zeros(n + 1),
-        v=v_arr,
-        w=w_arr,
-        theta=th_arr,
+        v=z.imag.copy(),
+        w=z.real.copy(),
+        theta=theta,
     )
 
 

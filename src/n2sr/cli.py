@@ -1,7 +1,7 @@
 """`sr` command-line interface.
 
 Subcommands: seed-phase, regimes, pressure-scan, fit, validate. Exit codes:
-0 success, 1 usage or configuration error, 2 numerical failure,
+0 success, 1 usage, configuration or file access error, 2 numerical failure,
 3 validation failure.
 """
 
@@ -169,10 +169,17 @@ def cmd_regimes(cfg: RunConfig, outdir: Path) -> int:
 
 
 def _parse_pressures(raw: str) -> list[float]:
-    try:
-        pressures = [float(tok) for tok in raw.split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigError(f"cannot parse pressure list '{raw}'") from None
+    pressures = []
+    for tok in (t.strip() for t in raw.split(",")):
+        if not tok:
+            continue
+        try:
+            p = float(tok)
+        except ValueError:
+            raise ConfigError(f"cannot parse pressure list '{raw}'") from None
+        if not math.isfinite(p):
+            raise ConfigError(f"pressure '{tok}' must be finite")
+        pressures.append(p)
     if not pressures:
         raise ConfigError("the pressure list is empty")
     return pressures
@@ -277,7 +284,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -25,6 +25,15 @@ from .pressure import DensityCalibration, DephasingParameters, calibrate_density
 from .system import SeedPulse, TwoLevelMedium
 
 
+# Largest RK4 step count a config may ask of either oracle. The seed kernel
+# holds about ten complex temporaries per step, so this bounds its memory
+# before anything is allocated.
+MAX_RK4_STEPS = 10**6
+
+# The pendulum oracle integrates over this many tau_W past the handover.
+PENDULUM_SPAN_TAU_W = 10.0
+
+
 class ConfigError(ValueError):
     """Bad configuration file, key, or value."""
 
@@ -154,6 +163,14 @@ def validate_config(cfg: RunConfig) -> None:
                 "regime_span_tau_w", "fit_tol", "validity_threshold", "radius_um"):
         if not getattr(cfg, key) > 0.0:
             raise ConfigError(f"config key '{key}' must be positive")
+    for key, steps in (
+        ("dt_over_tau_s", cfg.tau_r_over_tau_s / cfg.dt_over_tau_s),
+        ("pendulum_dt_over_tau_w", PENDULUM_SPAN_TAU_W / cfg.pendulum_dt_over_tau_w),
+    ):
+        if steps > MAX_RK4_STEPS:
+            raise ConfigError(
+                f"config key '{key}' asks for {steps:.3g} RK4 steps; the limit is {MAX_RK4_STEPS}"
+            )
     for key in ("profile_points", "regime_points"):
         if getattr(cfg, key) < 2:
             raise ConfigError(f"config key '{key}' must be at least 2")

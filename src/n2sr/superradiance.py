@@ -271,8 +271,8 @@ def integrate_pendulum(
 
     Starts from theta(tau_r) = theta_r and returns (t, theta) arrays on a
     uniform grid that lands exactly on t_end. This deliberately shares no
-    code with the closed forms above. Raises NumericalError on non-finite
-    states.
+    code with the closed forms above. Raises NumericalError, naming the first
+    bad time, on non-finite states.
     """
     if not 0.0 < theta_r < math.pi:
         raise ValueError("theta_r must lie strictly inside (0, pi)")
@@ -280,24 +280,36 @@ def integrate_pendulum(
         raise ValueError("t_end must exceed tau_r")
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    rate = _branch(medium.w0) / characteristic_duration(medium)
+    # Plain floats throughout: numpy scalars would slow the loop several-fold.
+    rate = float(_branch(medium.w0) / characteristic_duration(medium))
 
     span = t_end - tau_r
     n = max(1, math.ceil(span / dt - 1e-12))
     h = span / n
-    theta = np.empty(n + 1)
-    theta[0] = theta_r
-    th = theta_r
-    for i in range(n):
-        k1 = rate * math.sin(th)
-        k2 = rate * math.sin(th + 0.5 * h * k1)
-        k3 = rate * math.sin(th + 0.5 * h * k2)
-        k4 = rate * math.sin(th + h * k3)
-        th += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not math.isfinite(th):
-            raise NumericalError(f"pendulum angle became non-finite at t = {tau_r + (i + 1) * h:.6e} s")
-        theta[i + 1] = th
-    return np.linspace(tau_r, t_end, n + 1), theta
+    # Classical RK4 with k2 and k3 carried doubled. Scaling by 2 is exact, so
+    # rate2 * s == 2 * (rate * s), quarter * (2 k2) == half * k2 and
+    # half * (2 k3) == h * k3 hold bit for bit, and the angles equal those of
+    # the textbook form k1 + 2 k2 + 2 k3 + k4 with two multiplications fewer.
+    half, quarter, sixth, rate2, sin = 0.5 * h, 0.25 * h, h / 6.0, 2.0 * rate, math.sin
+    th = float(theta_r)
+    theta = [th] * (n + 1)
+    # A NaN angle stays NaN and sin(inf) raises ValueError, so one check
+    # after the loop finds the first bad step.
+    try:
+        for i in range(1, n + 1):
+            k1 = rate * sin(th)
+            k2x2 = rate2 * sin(th + half * k1)
+            k3x2 = rate2 * sin(th + quarter * k2x2)
+            k4 = rate * sin(th + half * k3x2)
+            th += sixth * (k1 + k2x2 + k3x2 + k4)
+            theta[i] = th
+    except ValueError:
+        theta[i] = math.nan
+    out = np.fromiter(theta, float, n + 1)
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise NumericalError(f"pendulum angle became non-finite at t = {tau_r + bad[0] * h:.6e} s")
+    return np.linspace(tau_r, t_end, n + 1), out
 
 
 def write_profile_csv(path, sol: SuperradianceSolution, t: Optional[np.ndarray] = None) -> None:

@@ -110,8 +110,13 @@ def seed_field_envelope(pulse: SeedPulse, t):
     Accepts scalars or arrays. f(0) = exp(-2 ln2) = 0.25, so the envelope is
     already small but not zero when the medium is created at t = 0.
     """
-    x = (np.asarray(t, dtype=float) - pulse.tau_s) / pulse.tau_s
-    return np.exp(-_GAUSS_COEFF * x * x)
+    # Array temporaries are reused in place: the seed RK4 evaluates the
+    # envelope on every node, and fresh arrays there cost page faults.
+    x = np.asarray(t, dtype=float) - pulse.tau_s
+    x /= pulse.tau_s
+    y = -_GAUSS_COEFF * x
+    y *= x
+    return np.exp(y, out=y) if isinstance(y, np.ndarray) else np.exp(y)
 
 
 def peak_field_from_intensity(intensity_w_m2: float) -> float:

@@ -73,9 +73,14 @@ def _check_constants_product(corrupt: Optional[str]) -> CheckResult:
 
 
 def _check_seed_roundtrip(cfg) -> CheckResult:
-    intensity = mw_per_cm2_to_w_per_m2(cfg.seed_intensity_mw_cm2 or 10.0)
-    back = intensity_from_peak_field(peak_field_from_intensity(intensity))
-    rel = abs(back - intensity) / intensity
+    """Round-trip the seed as configured: field -> intensity -> field, or the reverse."""
+    if cfg.seed_e0_v_m is not None:
+        given = cfg.seed_e0_v_m
+        back = peak_field_from_intensity(intensity_from_peak_field(given))
+    else:
+        given = mw_per_cm2_to_w_per_m2(cfg.seed_intensity_mw_cm2)
+        back = intensity_from_peak_field(peak_field_from_intensity(given))
+    rel = abs(back - given) / given if given else abs(back)
     return CheckResult("seed-field-roundtrip", rel <= 1e-12, f"relative defect {rel:.3e}")
 
 
@@ -118,7 +123,8 @@ def _check_pendulum(cfg) -> CheckResult:
     for m, theta_r in cases:
         sol = solve_after_seed(m, theta_r, seed.tau_r)
         dt = cfg.pendulum_dt_over_tau_w * sol.tau_W
-        t, theta = integrate_pendulum(theta_r, seed.tau_r, m, seed.tau_r + 10.0 * sol.tau_W, dt)
+        t_end = seed.tau_r + cfgmod.PENDULUM_SPAN_TAU_W * sol.tau_W
+        t, theta = integrate_pendulum(theta_r, seed.tau_r, m, t_end, dt)
         worst = max(worst, float(np.max(np.abs(theta - sol.bloch_angle(t)))))
     return CheckResult("pendulum-closed-form", worst <= 1e-7, f"max |ode - closed form| = {worst:.3e} rad")
 

@@ -143,6 +143,13 @@ class TestPressureScan:
     def test_unparseable_pressures_exit_1(self, tmp_path):
         assert main(["pressure-scan", "--pressures", "6,spam", "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("raw, token", [("nan", "nan"), ("8,inf", "inf"), ("8, -inf ,10", "-inf")])
+    def test_non_finite_pressure_named(self, tmp_path, capsys, raw, token):
+        assert main(["pressure-scan", "--pressures", raw, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"pressure '{token}' must be finite" in err
+        assert err.count("\n") == 1
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["pressure-scan", "--out", str(a)]) == 0
@@ -184,6 +191,13 @@ class TestFit:
         err = capsys.readouterr().err
         assert "bad.csv" in err and ":3" in err
 
+    def test_missing_trace_exits_1(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert main(["fit", str(missing), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+        assert err.count("\n") == 1
+
     def test_empty_trace_exits_1(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
@@ -204,6 +218,11 @@ class TestValidate:
         captured = capsys.readouterr()
         assert "FAIL  constants-product" in captured.out
         assert "constants-product" in captured.err
+
+    def test_field_amplitude_seed_passes(self, tmp_path, capsys):
+        args = ["--set", "seed_intensity_mw_cm2=none", "--set", "seed_e0_v_m=5e6"]
+        assert main(["validate", *args, "--out", str(tmp_path)]) == 0
+        assert "PASS  seed-field-roundtrip" in capsys.readouterr().out
 
     def test_unknown_corrupt_name_exits_1(self, tmp_path):
         assert main(["validate", "--corrupt", "bogus", "--out", str(tmp_path)]) == 1

@@ -3,6 +3,8 @@ import math
 import pytest
 
 from n2sr.config import (
+    MAX_RK4_STEPS,
+    PENDULUM_SPAN_TAU_W,
     ConfigError,
     RunConfig,
     dt_seconds,
@@ -119,6 +121,33 @@ class TestValueErrors:
     def test_out_of_range_rejected(self, override):
         with pytest.raises(ConfigError):
             load_config(overrides=[override])
+
+
+class TestStepCap:
+    """RK4 step counts are bounded at parse time, before any kernel allocates."""
+
+    @pytest.mark.parametrize(
+        "key, steps_per_unit",
+        [
+            ("dt_over_tau_s", RunConfig().tau_r_over_tau_s),
+            ("pendulum_dt_over_tau_w", PENDULUM_SPAN_TAU_W),
+        ],
+    )
+    def test_cap_names_the_key(self, key, steps_per_unit):
+        load_config(overrides=[f"{key}={2.0 * steps_per_unit / MAX_RK4_STEPS!r}"])
+        with pytest.raises(ConfigError, match=key):
+            load_config(overrides=[f"{key}={0.5 * steps_per_unit / MAX_RK4_STEPS!r}"])
+
+    def test_seed_cap_follows_tau_r(self):
+        cfg = load_config(overrides=["dt_over_tau_s=1e-5"])
+        assert cfg.tau_r_over_tau_s / cfg.dt_over_tau_s <= MAX_RK4_STEPS
+        with pytest.raises(ConfigError, match="dt_over_tau_s"):
+            load_config(overrides=["dt_over_tau_s=1e-5", "tau_r_over_tau_s=20"])
+
+    def test_absurd_step_is_rejected(self):
+        # Uncapped, this would ask the seed kernel for about 7e12 nodes.
+        with pytest.raises(ConfigError, match="dt_over_tau_s"):
+            load_config(overrides=["dt_over_tau_s=1e-12"])
 
 
 def test_derived_builders():

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from n2sr.constants import CONSTANTS, s_to_ps
+from n2sr.errors import NumericalError
 from n2sr.superradiance import (
     NoSuperradianceError,
     Regime,
@@ -342,6 +343,50 @@ class TestPendulum:
             0.7 * math.pi, TAU_R, flipped, TAU_R + 10.0 * sol.tau_W, dt=1e-3 * sol.tau_W
         )
         assert np.abs(theta - sol.bloch_angle(t)).max() <= 1e-7
+
+    @pytest.mark.parametrize("theta_r", [0.057 * math.pi, 0.3 * math.pi, 0.6 * math.pi])
+    def test_fourth_order_convergence(self, anchor_medium, theta_r):
+        """Halving the step shrinks the worst error against the closed form ~16x."""
+        sol = solve_after_seed(anchor_medium, theta_r, TAU_R)
+        span = 10.0 * sol.tau_W
+
+        def err(n):
+            t, theta = integrate_pendulum(theta_r, TAU_R, anchor_medium, TAU_R + span, span / n)
+            return np.abs(theta - sol.bloch_angle(t)).max()
+
+        e40, e80, e160 = err(40), err(80), err(160)
+        assert 12.8 <= e40 / e80 <= 19.2
+        assert 12.8 <= e80 / e160 <= 19.2
+
+    @pytest.mark.parametrize(
+        "w0_sign, theta_r", [(1.0, 0.057 * math.pi), (1.0, 0.6 * math.pi), (-1.0, 0.7 * math.pi)]
+    )
+    def test_matches_textbook_rk4_bit_for_bit(self, anchor_medium, w0_sign, theta_r):
+        """The integrator's angles equal a plain per-step RK4 exactly."""
+        medium = dataclasses.replace(anchor_medium, w0=w0_sign * anchor_medium.w0)
+        tau_w = characteristic_duration(medium)
+        n = 500
+        t, theta = integrate_pendulum(theta_r, TAU_R, medium, TAU_R + 10.0 * tau_w, 10.0 * tau_w / n)
+        assert len(theta) == n + 1
+        rate = w0_sign / tau_w
+        h = (TAU_R + 10.0 * tau_w - TAU_R) / n
+        th = theta_r
+        expected = [th]
+        for _ in range(n):
+            k1 = rate * math.sin(th)
+            k2 = rate * math.sin(th + 0.5 * h * k1)
+            k3 = rate * math.sin(th + 0.5 * h * k2)
+            k4 = rate * math.sin(th + h * k3)
+            th += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            expected.append(th)
+        assert np.array_equal(theta, np.array(expected))
+
+    def test_blowup_raises_numerical_error(self, anchor_medium):
+        """A step so long the angle overflows ends in NumericalError, not ValueError."""
+        h = 1e299
+        with pytest.raises(NumericalError) as info:
+            integrate_pendulum(0.3 * math.pi, TAU_R, anchor_medium, TAU_R + 10.0 * h, h)
+        assert f"t = {TAU_R + h:.6e} s" in str(info.value)
 
 
 def test_profile_csv(tmp_path, sol8):

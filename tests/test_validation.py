@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from n2sr import validation
 from n2sr.validation import run_validation_checks
 
 EXPECTED_CHECKS = [
@@ -40,3 +43,27 @@ def test_details_are_informative(cfg):
     results = run_validation_checks(cfg)
     for r in results:
         assert r.detail  # every check reports a number or a statement
+
+
+@pytest.mark.parametrize(
+    "seed, first_call",
+    [
+        ({"seed_intensity_mw_cm2": None, "seed_e0_v_m": 5e6}, ("intensity_from_peak_field", 5e6)),
+        ({"seed_intensity_mw_cm2": 40.0}, ("peak_field_from_intensity", 4e11)),
+    ],
+)
+def test_seed_roundtrip_uses_configured_seed(cfg, monkeypatch, seed, first_call):
+    """The round trip starts from the seed as given, field or intensity."""
+    calls = []
+    for name in ("intensity_from_peak_field", "peak_field_from_intensity"):
+        original = getattr(validation, name)
+
+        def spy(x, name=name, original=original):
+            calls.append((name, x))
+            return original(x)
+
+        monkeypatch.setattr(validation, name, spy)
+    result = validation._check_seed_roundtrip(dataclasses.replace(cfg, **seed))
+    assert result.passed
+    assert calls[0][0] == first_call[0]
+    assert calls[0][1] == pytest.approx(first_call[1], rel=1e-15)
