@@ -41,19 +41,20 @@ def main(out="out"):
     print(f"peak power density P0     {sol.P0:.4e} W/m^3")
     print(f"peak intensity I0         {sol.I0:.4e} W/m^2")
 
-    rows = pressure_scan(cal, seed, template, PRESSURES, dephasing)
+    scan = pressure_scan(cal, seed, template, PRESSURES, dephasing)
+    columns = (
+        scan.p_mbar, s_to_ps(scan.tau_W), s_to_ps(scan.tau_D),
+        scan.I_peak_norm, scan.E_total_norm, scan.validity_margin,
+    )
+    row = "{:5.1f}  {:8.4f}  {:8.4f}  {:11.4f}  {:12.4f}  {:6.1f}".format
     print()
     print("p_mbar  tau_W_ps  tau_D_ps  I_peak_norm  E_total_norm  margin")
-    for r in rows:
-        print(
-            f"{r.p_mbar:5.1f}  {s_to_ps(r.tau_W):8.4f}  {s_to_ps(r.tau_D):8.4f}"
-            f"  {r.I_peak_norm:11.4f}  {r.E_total_norm:12.4f}  {r.validity_margin:6.1f}"
-        )
+    print("\n".join(map(row, *(column.tolist() for column in columns))))
 
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_profile_csv(out_dir / "profile.csv", sol)
-    write_scan_csv(out_dir / "pressure_scan.csv", rows)
+    write_scan_csv(out_dir / "pressure_scan.csv", scan)
     print()
     print(f"wrote {out_dir / 'profile.csv'} and {out_dir / 'pressure_scan.csv'}")
 

@@ -16,12 +16,14 @@ from .bloch import (
     integrate_bloch_rwa,
 )
 from .constants import CONSTANTS, PhysicalConstants
+from .csvio import write_columns
 from .errors import NumericalError
 from .pressure import (
     BelowThresholdError,
     DensityCalibration,
     DephasingParameters,
     ScanRow,
+    ScanTable,
     calibrate_density_scale,
     dephasing_time,
     density_from_pressure,

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from .constants import CONSTANTS, s_to_ps
+from .csvio import write_columns
 from .errors import NumericalError
 from .system import SeedPulse, TwoLevelMedium
 
@@ -83,13 +83,9 @@ class BlochTrajectory:
         return self.state(len(self.t) - 1)
 
     def write_csv(self, path) -> None:
-        with Path(path).open("w") as fh:
-            fh.write("t_ps,u,v,w,theta_rad\n")
-            for i in range(len(self.t)):
-                fh.write(
-                    f"{s_to_ps(float(self.t[i]))!r},{float(self.u[i])!r},{float(self.v[i])!r},"
-                    f"{float(self.w[i])!r},{float(self.theta[i])!r}\n"
-                )
+        write_columns(
+            path, "t_ps,u,v,w,theta_rad", [s_to_ps(self.t), self.u, self.v, self.w, self.theta]
+        )
 
 
 def rabi_frequency_peak(pulse: SeedPulse, medium: TwoLevelMedium) -> float:

@@ -20,6 +20,7 @@ from . import config as cfgmod
 from .bloch import bloch_angle, integrate_bloch_rwa
 from .config import ConfigError, RunConfig, load_config, resolved_items
 from .constants import per_m3_to_per_cm3, s_to_ps
+from .csvio import write_columns
 from .errors import NumericalError
 from .pressure import (
     REFERENCE_DENSITY_SLOPE_PER_CM3_MBAR,
@@ -148,13 +149,10 @@ def cmd_regimes(cfg: RunConfig, outdir: Path) -> int:
         w = sol.population_difference(t)
         x = (t - sol.tau_D) / sol.tau_W
         p_norm = 1.0 / np.cosh(x) ** 2
-        with (outdir / f"regime{idx}.csv").open("w") as fh:
-            fh.write("t_ps,t_rel_tau_W,theta_rad,w,P_over_P0\n")
-            for j in range(len(t)):
-                fh.write(
-                    f"{s_to_ps(float(t[j]))!r},{float(grid[j])!r},{float(theta[j])!r},"
-                    f"{float(w[j])!r},{float(p_norm[j])!r}\n"
-                )
+        write_columns(
+            outdir / f"regime{idx}.csv", "t_ps,t_rel_tau_W,theta_rad,w,P_over_P0",
+            [s_to_ps(t), grid, theta, w, p_norm],
+        )
         print(
             f"regime {idx} ({sol.regime.name.lower().replace('_', ' ')}): "
             f"tau_D - tau_r = {(sol.tau_D - sol.tau_r) / sol.tau_W:+.3f} tau_W"
@@ -187,7 +185,7 @@ def _parse_pressures(raw: str) -> list[float]:
 
 def cmd_pressure_scan(cfg: RunConfig, pressures: list[float], outdir: Path) -> int:
     cal = cfgmod.calibration(cfg)
-    rows = pressure_scan(
+    scan = pressure_scan(
         cal,
         cfgmod.seed_pulse(cfg),
         cfgmod.medium_template(cfg),
@@ -197,38 +195,46 @@ def cmd_pressure_scan(cfg: RunConfig, pressures: list[float], outdir: Path) -> i
         validity_threshold=cfg.validity_threshold,
         dt=cfgmod.dt_seconds(cfg),
     )
-    write_scan_csv(outdir / "pressure_scan.csv", rows)
-    print(
+    write_scan_csv(outdir / "pressure_scan.csv", scan)
+    flags = np.where(scan.valid, "", "  [dephasing margin below threshold]").tolist()
+    row = "p = {:5.1f} mbar: tau_W = {:6.3f} ps, tau_D = {:6.3f} ps, margin = {:7.1f}{}".format
+    lines = [
         f"density slope k = {per_m3_to_per_cm3(cal.k):.4e} cm^-3/mbar from the anchor "
         f"({cal.anchor_p} mbar, {s_to_ps(cal.anchor_tau_w):.4f} ps); "
-        f"published reference slope {REFERENCE_DENSITY_SLOPE_PER_CM3_MBAR:.4e} cm^-3/mbar"
-    )
-    for r in rows:
-        flag = "" if r.valid else "  [dephasing margin below threshold]"
-        print(
-            f"p = {r.p_mbar:5.1f} mbar: tau_W = {s_to_ps(r.tau_W):6.3f} ps, "
-            f"tau_D = {s_to_ps(r.tau_D):6.3f} ps, margin = {r.validity_margin:7.1f}{flag}"
-        )
+        f"published reference slope {REFERENCE_DENSITY_SLOPE_PER_CM3_MBAR:.4e} cm^-3/mbar",
+        *map(
+            row, scan.p_mbar.tolist(), s_to_ps(scan.tau_W).tolist(),
+            s_to_ps(scan.tau_D).tolist(), scan.validity_margin.tolist(), flags,
+        ),
+    ]
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
 def cmd_fit(cfg: RunConfig, trace_files: list[str], outdir: Path) -> int:
     traces = [read_trace_csv(p) for p in trace_files]
     fits = [fit_sech2(t, tol=cfg.fit_tol, max_iter=cfg.fit_max_iter) for t in traces]
+    names = [Path(path).name for path in trace_files]
 
-    with (outdir / "fits.csv").open("w") as fh:
-        fh.write("file,pressure_mbar,amplitude_arb,tau_D_ps,tau_W_ps,rms_residual_arb,converged\n")
-        for path, trace, fit in zip(trace_files, traces, fits):
-            p = "" if trace.pressure is None else repr(trace.pressure)
-            fh.write(
-                f"{Path(path).name},{p},{fit.amplitude!r},{s_to_ps(fit.tau_D)!r},"
-                f"{s_to_ps(fit.tau_W)!r},{fit.rms_residual!r},{fit.converged}\n"
-            )
-            status = "converged" if fit.converged else "NOT converged"
-            print(
-                f"{Path(path).name}: tau_D = {s_to_ps(fit.tau_D):.3f} ps, "
-                f"tau_W = {s_to_ps(fit.tau_W):.3f} ps ({status})"
-            )
+    write_columns(
+        outdir / "fits.csv",
+        "file,pressure_mbar,amplitude_arb,tau_D_ps,tau_W_ps,rms_residual_arb,converged",
+        [
+            names,
+            ["" if t.pressure is None else repr(t.pressure) for t in traces],
+            [f.amplitude for f in fits],
+            [s_to_ps(f.tau_D) for f in fits],
+            [s_to_ps(f.tau_W) for f in fits],
+            [f.rms_residual for f in fits],
+            [f.converged for f in fits],
+        ],
+    )
+    for name, fit in zip(names, fits):
+        status = "converged" if fit.converged else "NOT converged"
+        print(
+            f"{name}: tau_D = {s_to_ps(fit.tau_D):.3f} ps, "
+            f"tau_W = {s_to_ps(fit.tau_W):.3f} ps ({status})"
+        )
 
     with_pressure = [t for t in traces if t.pressure is not None]
     for trace in traces:

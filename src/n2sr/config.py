@@ -30,6 +30,11 @@ from .system import SeedPulse, TwoLevelMedium
 # before anything is allocated.
 MAX_RK4_STEPS = 10**6
 
+# Largest profile or regime grid a config may ask for. Each grid point is
+# one CSV row in every file written on that grid, so this bounds the arrays
+# and the output before anything is allocated.
+MAX_GRID_POINTS = 10**6
+
 # The pendulum oracle integrates over this many tau_W past the handover.
 PENDULUM_SPAN_TAU_W = 10.0
 
@@ -172,8 +177,13 @@ def validate_config(cfg: RunConfig) -> None:
                 f"config key '{key}' asks for {steps:.3g} RK4 steps; the limit is {MAX_RK4_STEPS}"
             )
     for key in ("profile_points", "regime_points"):
-        if getattr(cfg, key) < 2:
+        points = getattr(cfg, key)
+        if points < 2:
             raise ConfigError(f"config key '{key}' must be at least 2")
+        if points > MAX_GRID_POINTS:
+            raise ConfigError(
+                f"config key '{key}' asks for {points} grid points; the limit is {MAX_GRID_POINTS}"
+            )
     if cfg.fit_max_iter < 1:
         raise ConfigError("config key 'fit_max_iter' must be at least 1")
     if not 0.5 < cfg.theta_strong_over_pi < 1.0:

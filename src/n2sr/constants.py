@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "PhysicalConstants",
     "CONSTANTS",
@@ -78,11 +80,11 @@ def wavelength_to_angular_frequency(wavelength_m: float) -> float:
     return 2.0 * math.pi * CONSTANTS.c / wavelength_m
 
 
-def pressure_to_number_density(pressure_pa: float, temperature_k: float = 300.0) -> float:
-    """Ideal-gas number density n = p / (kB T) in m^-3."""
+def pressure_to_number_density(pressure_pa, temperature_k: float = 300.0):
+    """Ideal-gas number density n = p / (kB T) in m^-3; elementwise for an array p."""
     if not temperature_k > 0.0:
         raise ValueError("temperature must be positive")
-    if pressure_pa < 0.0:
+    if np.less(pressure_pa, 0.0).any():
         raise ValueError("pressure must be non-negative")
     return pressure_pa / (CONSTANTS.kB * temperature_k)
 

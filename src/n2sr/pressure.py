@@ -12,9 +12,10 @@ value as ground truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import Iterator, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .bloch import bloch_angle
 from .constants import (
@@ -25,6 +26,7 @@ from .constants import (
     s_to_ps,
     w_per_m2_to_w_per_cm2,
 )
+from .csvio import write_columns
 from .superradiance import characteristic_duration, peak_intensity, time_delay
 from .system import SeedPulse, TwoLevelMedium
 
@@ -33,6 +35,7 @@ __all__ = [
     "DensityCalibration",
     "DephasingParameters",
     "ScanRow",
+    "ScanTable",
     "ValidityCheck",
     "REFERENCE_DENSITY_SLOPE_PER_CM3_MBAR",
     "calibrate_density_scale",
@@ -94,8 +97,8 @@ class DephasingParameters:
 
 
 class ValidityCheck(NamedTuple):
-    valid: bool
-    margin: float
+    valid: bool    # a bool array for array inputs
+    margin: float  # a float array for array inputs
 
 
 @dataclass(frozen=True)
@@ -115,6 +118,53 @@ class ScanRow:
     dephasing: float         # s
     validity_margin: float
     valid: bool
+
+
+@dataclass(frozen=True, eq=False)
+class ScanTable:
+    """Predicted burst observables across a pressure scan, one column each.
+
+    Every column is a read-only 1-D array with one entry per pressure, in
+    scan order (SI units, as in ScanRow); theta_r is shared by all rows.
+    len() is the number of pressures, and indexing or iteration yields
+    ScanRow views built on demand.
+    """
+
+    theta_r: float
+    p_mbar: np.ndarray
+    N: np.ndarray
+    tau_W: np.ndarray
+    tau_D: np.ndarray
+    I_peak: np.ndarray
+    I_peak_norm: np.ndarray
+    E_total: np.ndarray
+    E_total_norm: np.ndarray
+    E_total_integral: np.ndarray
+    dephasing: np.ndarray
+    validity_margin: np.ndarray
+    valid: np.ndarray  # bool
+
+    def __post_init__(self) -> None:
+        for name in self._columns():
+            column = getattr(self, name)
+            if column.shape != self.p_mbar.shape or column.ndim != 1:
+                raise ValueError("scan columns must be 1-D and of equal length")
+            column.setflags(write=False)
+
+    @classmethod
+    def _columns(cls) -> list[str]:
+        return [f.name for f in fields(cls) if f.name != "theta_r"]
+
+    def __len__(self) -> int:
+        return len(self.p_mbar)
+
+    def __getitem__(self, i: int) -> ScanRow:
+        # item() turns numpy scalars into Python floats and bools.
+        values = {name: getattr(self, name)[i].item() for name in self._columns()}
+        return ScanRow(theta_r=self.theta_r, **values)
+
+    def __iter__(self) -> Iterator[ScanRow]:
+        return map(self.__getitem__, range(len(self)))
 
 
 def calibrate_density_scale(
@@ -145,11 +195,12 @@ def calibrate_density_scale(
     )
 
 
-def density_from_pressure(cal: DensityCalibration, p_mbar: float) -> float:
-    """Emitter density N = k (p - p0) in m^-3; p below threshold is an error."""
-    if p_mbar < cal.p0:
+def density_from_pressure(cal: DensityCalibration, p_mbar):
+    """Emitter density N = k (p - p0) in m^-3, elementwise for an array p;
+    a pressure below threshold is an error."""
+    if np.less(p_mbar, cal.p0).any():
         raise BelowThresholdError(
-            f"pressure {p_mbar} mbar is below the superradiance threshold {cal.p0} mbar"
+            f"pressure {np.min(p_mbar)} mbar is below the superradiance threshold {cal.p0} mbar"
         )
     return cal.k * (p_mbar - cal.p0)
 
@@ -160,54 +211,66 @@ def medium_at_pressure(
     return medium_template.with_density(density_from_pressure(cal, p_mbar))
 
 
-def total_emitted_energy(medium: TwoLevelMedium, theta_r: float, radius: float) -> float:
+def total_emitted_energy(medium: TwoLevelMedium, theta_r: float, radius: float, N=None):
     """Released energy hbar omega N w0 cos(theta_r) * pi r^2 L, linear in N.
 
     This is the stored-energy bookkeeping estimate; see
     emitted_energy_integral for the value obtained by integrating the burst
     power from tau_r onward, which differs by the factor (1 + cos)/2 cos.
+    N overrides medium.N and may be an array. The caller checks that
+    theta_r lies in (0, pi) and that the radius is positive, as
+    pressure_scan does once per scan.
     """
-    if not 0.0 < theta_r < math.pi:
-        raise ValueError("theta_r must lie strictly inside (0, pi)")
-    if not radius > 0.0:
-        raise ValueError("radius must be positive")
+    n = medium.N if N is None else N
     volume = math.pi * radius**2 * medium.L
-    return CONSTANTS.hbar * medium.omega * medium.N * medium.w0 * math.cos(theta_r) * volume
+    return CONSTANTS.hbar * medium.omega * n * medium.w0 * math.cos(theta_r) * volume
 
 
-def emitted_energy_integral(medium: TwoLevelMedium, theta_r: float, radius: float) -> float:
+def emitted_energy_integral(medium: TwoLevelMedium, theta_r: float, radius: float, N=None):
     """Burst energy from integrating P_s over t >= tau_r in closed form:
 
     (hbar omega N w0 / 2) (1 + cos theta_r) * pi r^2 L.
+
+    N and the argument checks are as in total_emitted_energy.
     """
-    if not 0.0 < theta_r < math.pi:
-        raise ValueError("theta_r must lie strictly inside (0, pi)")
-    if not radius > 0.0:
-        raise ValueError("radius must be positive")
+    n = medium.N if N is None else N
     volume = math.pi * radius**2 * medium.L
-    return 0.5 * CONSTANTS.hbar * medium.omega * medium.N * medium.w0 * (1.0 + math.cos(theta_r)) * volume
+    return 0.5 * CONSTANTS.hbar * medium.omega * n * medium.w0 * (1.0 + math.cos(theta_r)) * volume
 
 
-def dephasing_time(p_mbar: float, params: DephasingParameters) -> float:
-    """Collisional dephasing time 1 / (sigma f_ion n v_e) at gas pressure p."""
-    if not p_mbar > 0.0:
+def dephasing_time(p_mbar, params: DephasingParameters):
+    """Collisional dephasing time 1 / (sigma f_ion n v_e) at gas pressure p,
+    elementwise for an array p."""
+    if not np.greater(p_mbar, 0.0).all():
         raise ValueError("pressure must be positive")
     n = pressure_to_number_density(mbar_to_pascal(p_mbar), params.temperature)
     return 1.0 / (params.sigma * params.ionization_fraction * n * params.v_e)
 
 
-def superradiance_valid(
-    tau_2: float, tau_w: float, tau_d: float, threshold: float = 10.0
-) -> ValidityCheck:
+def superradiance_valid(tau_2, tau_w, tau_d, threshold: float = 10.0, p_mbar=None) -> ValidityCheck:
     """Margin tau_2 / sqrt(tau_W tau_D) of the no-dephasing assumption.
 
     The coherent treatment needs the dephasing time to dominate the
     geometric mean of the burst width and delay; `valid` flags margins at or
-    above `threshold`.
+    above `threshold`. Arrays are taken elementwise, and `valid` is then a
+    bool array. Where tau_D <= 0, as the absorbing branch w0 < 0 or a seed
+    tipping past pi/2 can give, the margin is undefined: the error names the
+    first such element, by its pressure when the matching `p_mbar` is given.
     """
-    if not tau_2 > 0.0 or not tau_w > 0.0 or not tau_d > 0.0:
+    if not (np.greater(tau_2, 0.0).all() and np.greater(tau_w, 0.0).all()):
         raise ValueError("all time scales must be positive")
-    margin = tau_2 / math.sqrt(tau_w * tau_d)
+    bad = np.flatnonzero(~np.greater(tau_d, 0.0))
+    if bad.size:
+        i = bad[0]
+        at = "" if p_mbar is None else f" at p = {float(np.ravel(p_mbar)[i])!r} mbar"
+        raise ValueError(
+            f"tau_D = {s_to_ps(float(np.ravel(tau_d)[i])):.4g} ps{at}: the dephasing margin "
+            "tau_2/sqrt(tau_W tau_D) is undefined where tau_D <= 0, as it can be for "
+            "w0 < 0 or for a seed that tips past pi/2"
+        )
+    margin = tau_2 / np.sqrt(tau_w * tau_d)
+    if np.ndim(margin) == 0:
+        return ValidityCheck(valid=bool(margin >= threshold), margin=float(margin))
     return ValidityCheck(valid=margin >= threshold, margin=margin)
 
 
@@ -220,66 +283,60 @@ def pressure_scan(
     radius: float = 50e-6,
     validity_threshold: float = 10.0,
     dt: Optional[float] = None,
-) -> list[ScanRow]:
+) -> ScanTable:
     """Predict burst observables across a pressure grid (order preserved).
 
-    The seed-stage tipping angle does not depend on N, so a single theta_r
-    is computed once and recorded on every row. Peak intensity and total
-    energy are normalized to the maximum-pressure row.
+    Every column comes from the closed forms applied elementwise to the
+    array of pressures (densities), with no per-pressure loop. The
+    seed-stage tipping angle does not depend on N, so a single theta_r is
+    computed and checked once. Peak intensity and total energy are
+    normalized to the maximum-pressure row.
     """
     if len(pressures) == 0:
         raise ValueError("at least one pressure is required")
-    for p in pressures:
-        if p <= cal.p0:
-            raise BelowThresholdError(
-                f"pressure {p} mbar does not exceed the threshold {cal.p0} mbar"
-            )
+    p = np.array(pressures, dtype=float)
+    below = np.flatnonzero(~(p > cal.p0))
+    if below.size:
+        raise BelowThresholdError(
+            f"pressure {pressures[below[0]]} mbar does not exceed the threshold {cal.p0} mbar"
+        )
+    if not radius > 0.0:
+        raise ValueError("radius must be positive")
     if dephasing is None:
         dephasing = DephasingParameters()
 
     theta_r = bloch_angle(seed, medium_template, seed.tau_r, dt=dt)
-
-    raw = []
-    for p in pressures:
-        m = medium_at_pressure(cal, medium_template, p)
-        tau_w = characteristic_duration(m)
-        tau_d = time_delay(m, theta_r, seed.tau_r)
-        tau_2 = dephasing_time(p, dephasing)
-        check = superradiance_valid(tau_2, tau_w, tau_d, threshold=validity_threshold)
-        raw.append(
-            (p, m.N, tau_w, tau_d, peak_intensity(m),
-             total_emitted_energy(m, theta_r, radius),
-             emitted_energy_integral(m, theta_r, radius),
-             tau_2, check)
-        )
-
-    i_ref = max(range(len(raw)), key=lambda i: raw[i][0])
-    i_peak_ref = raw[i_ref][4]
-    e_tot_ref = raw[i_ref][5]
-    return [
-        ScanRow(
-            p_mbar=p, N=n, theta_r=theta_r, tau_W=tau_w, tau_D=tau_d,
-            I_peak=i_pk, I_peak_norm=i_pk / i_peak_ref,
-            E_total=e_tot, E_total_norm=e_tot / e_tot_ref,
-            E_total_integral=e_int,
-            dephasing=tau_2, validity_margin=check.margin, valid=check.valid,
-        )
-        for (p, n, tau_w, tau_d, i_pk, e_tot, e_int, tau_2, check) in raw
-    ]
-
-
-def write_scan_csv(path, rows: Sequence[ScanRow]) -> None:
-    header = (
-        "p_mbar,N_per_cm3,tau_W_ps,tau_D_ps,theta_r_rad,I_peak_W_cm2,"
-        "I_peak_norm,E_total_J,E_total_norm,E_total_integral_J,"
-        "dephasing_ps,validity_margin\n"
+    m = medium_template
+    n = density_from_pressure(cal, p)
+    tau_w = characteristic_duration(m, n)
+    # time_delay rejects a theta_r outside (0, pi), which the energies assume.
+    tau_d = time_delay(m, theta_r, seed.tau_r, n)
+    tau_2 = dephasing_time(p, dephasing)
+    check = superradiance_valid(tau_2, tau_w, tau_d, threshold=validity_threshold, p_mbar=p)
+    i_peak = peak_intensity(m, n)
+    e_total = total_emitted_energy(m, theta_r, radius, n)
+    i_ref = int(np.argmax(p))
+    return ScanTable(
+        theta_r=theta_r, p_mbar=p, N=n, tau_W=tau_w, tau_D=tau_d,
+        I_peak=i_peak, I_peak_norm=i_peak / i_peak[i_ref],
+        E_total=e_total, E_total_norm=e_total / e_total[i_ref],
+        E_total_integral=emitted_energy_integral(m, theta_r, radius, n),
+        dephasing=tau_2, validity_margin=check.margin, valid=check.valid,
     )
-    with Path(path).open("w") as fh:
-        fh.write(header)
-        for r in rows:
-            fh.write(
-                f"{float(r.p_mbar)!r},{per_m3_to_per_cm3(float(r.N))!r},{s_to_ps(float(r.tau_W))!r},"
-                f"{s_to_ps(float(r.tau_D))!r},{float(r.theta_r)!r},{w_per_m2_to_w_per_cm2(float(r.I_peak))!r},"
-                f"{float(r.I_peak_norm)!r},{float(r.E_total)!r},{float(r.E_total_norm)!r},"
-                f"{float(r.E_total_integral)!r},{s_to_ps(float(r.dephasing))!r},{float(r.validity_margin)!r}\n"
-            )
+
+
+SCAN_CSV_HEADER = (
+    "p_mbar,N_per_cm3,tau_W_ps,tau_D_ps,theta_r_rad,I_peak_W_cm2,"
+    "I_peak_norm,E_total_J,E_total_norm,E_total_integral_J,"
+    "dephasing_ps,validity_margin"
+)
+
+
+def write_scan_csv(path, scan: ScanTable) -> None:
+    # theta_r is one value: format it once, not once per row.
+    write_columns(path, SCAN_CSV_HEADER, [
+        scan.p_mbar, per_m3_to_per_cm3(scan.N), s_to_ps(scan.tau_W), s_to_ps(scan.tau_D),
+        [repr(scan.theta_r)] * len(scan), w_per_m2_to_w_per_cm2(scan.I_peak),
+        scan.I_peak_norm, scan.E_total, scan.E_total_norm, scan.E_total_integral,
+        s_to_ps(scan.dephasing), scan.validity_margin,
+    ])

@@ -11,12 +11,14 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .constants import ps_to_s, s_to_ps
+from .csvio import write_columns
 from .superradiance import SuperradianceSolution
 
 __all__ = [
@@ -341,72 +343,100 @@ def summarize_by_pressure(traces: Sequence[TemporalTrace]) -> list[PulseSummary]
 
 
 _PRESSURE_RE = re.compile(r"^#\s*pressure_mbar\s*=\s*(\S+)\s*$")
+TRACE_CSV_HEADER = "time_ps,intensity_arb"
+
+
+def _comment(path: Path, lineno: int, line: str, pressure: Optional[float]) -> Optional[float]:
+    """The pressure after a '#' line: its pressure_mbar value, if it gives one."""
+    m = _PRESSURE_RE.match(line)
+    if not m:
+        return pressure
+    try:
+        return float(m.group(1))
+    except ValueError:
+        raise TraceFormatError(f"{path}:{lineno}: unreadable pressure_mbar value") from None
+
+
+def _walk_rows(path: Path, lines: list[str], start: int, pressure: Optional[float]):
+    """Parse lines[start:] line by line, skipping blank and '#' lines.
+
+    The slow path of read_trace_csv: it names the line of the first bad row,
+    and it reads bodies that interleave comments or blank lines with data.
+    Returns the pressure and the flat [t_ps, intensity, ...] values.
+    """
+    values = []
+    for lineno, raw in enumerate(lines[start:], start=start + 1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            pressure = _comment(path, lineno, line, pressure)
+            continue
+        cols = line.split(",")
+        if len(cols) != 2:
+            raise TraceFormatError(f"{path}:{lineno}: expected two comma-separated fields")
+        try:
+            values.extend(map(float, cols))
+        except ValueError:
+            raise TraceFormatError(f"{path}:{lineno}: unreadable numeric field") from None
+    return pressure, np.array(values, dtype=float)
 
 
 def read_trace_csv(path) -> TemporalTrace:
     """Read a trace file: optional '# pressure_mbar=...' comments, then a
-    'time_ps,intensity_arb' header and rows. Times are converted to seconds."""
+    'time_ps,intensity_arb' header and rows. Times are converted to seconds.
+
+    Blank and '#' lines may appear anywhere. The rows are parsed in one pass
+    over all fields; only a body that does not parse that way is walked line
+    by line, to read interleaved comments or to name the bad line.
+    """
     path = Path(path)
+    lines = path.read_text().split("\n")
     pressure = None
-    t, y = [], []
-    saw_header = False
-    with path.open() as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                m = _PRESSURE_RE.match(line)
-                if m:
-                    try:
-                        pressure = float(m.group(1))
-                    except ValueError:
-                        raise TraceFormatError(
-                            f"{path}:{lineno}: unreadable pressure_mbar value"
-                        ) from None
-                continue
-            if not saw_header:
-                cols = [c.strip() for c in line.split(",")]
-                if cols != ["time_ps", "intensity_arb"]:
-                    raise TraceFormatError(
-                        f"{path}:{lineno}: expected header 'time_ps,intensity_arb'"
-                    )
-                saw_header = True
-                continue
-            cols = line.split(",")
-            if len(cols) != 2:
-                raise TraceFormatError(f"{path}:{lineno}: expected two comma-separated fields")
-            try:
-                t.append(ps_to_s(float(cols[0])))
-                y.append(float(cols[1]))
-            except ValueError:
-                raise TraceFormatError(f"{path}:{lineno}: unreadable numeric field") from None
-    if not saw_header:
-        raise TraceFormatError(f"{path}: missing 'time_ps,intensity_arb' header")
-    if not t:
+    for i, raw in enumerate(lines):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            pressure = _comment(path, i + 1, line, pressure)
+            continue
+        if [c.strip() for c in line.split(",")] != TRACE_CSV_HEADER.split(","):
+            raise TraceFormatError(f"{path}:{i + 1}: expected header '{TRACE_CSV_HEADER}'")
+        break
+    else:
+        raise TraceFormatError(f"{path}: missing '{TRACE_CSV_HEADER}' header")
+
+    body = lines[i + 1:-1] if lines[-1] == "" else lines[i + 1:]
+    rows = [row.split(",") for row in body]
+    try:
+        if set(map(len, rows)) - {2}:
+            raise ValueError("a row without exactly two fields")
+        values = np.fromiter(map(float, chain.from_iterable(rows)), float, 2 * len(rows))
+    except ValueError:
+        pressure, values = _walk_rows(path, lines, i + 1, pressure)
+    if not values.size:
         raise TraceFormatError(f"{path}: no data rows")
     try:
         return TemporalTrace(
-            t=np.array(t), intensity=np.array(y), pressure=pressure, label=path.stem
+            t=ps_to_s(values[0::2]), intensity=values[1::2].copy(), pressure=pressure,
+            label=path.stem,
         )
     except ValueError as exc:
         raise TraceFormatError(f"{path}: {exc}") from None
 
 
 def write_trace_csv(path, trace: TemporalTrace) -> None:
-    with Path(path).open("w") as fh:
-        if trace.pressure is not None:
-            fh.write(f"# pressure_mbar={float(trace.pressure)!r}\n")
-        fh.write("time_ps,intensity_arb\n")
-        for i in range(len(trace.t)):
-            fh.write(f"{s_to_ps(float(trace.t[i]))!r},{float(trace.intensity[i])!r}\n")
+    header = TRACE_CSV_HEADER
+    if trace.pressure is not None:
+        header = f"# pressure_mbar={float(trace.pressure)!r}\n{header}"
+    write_columns(path, header, [s_to_ps(trace.t), trace.intensity])
 
 
 def write_summary_csv(path, rows: Sequence[PulseSummary]) -> None:
-    with Path(path).open("w") as fh:
-        fh.write("p_mbar,tau_FW_ps,tau_W_ps,tau_D_ps\n")
-        for r in rows:
-            fh.write(
-                f"{float(r.pressure_mbar)!r},{s_to_ps(float(r.tau_fw))!r},"
-                f"{s_to_ps(float(r.tau_w))!r},{s_to_ps(float(r.tau_d))!r}\n"
-            )
+    columns = np.array(
+        [(r.pressure_mbar, r.tau_fw, r.tau_w, r.tau_d) for r in rows], dtype=float
+    ).reshape(-1, 4).T
+    write_columns(
+        path, "p_mbar,tau_FW_ps,tau_W_ps,tau_D_ps",
+        [columns[0], s_to_ps(columns[1]), s_to_ps(columns[2]), s_to_ps(columns[3])],
+    )

@@ -22,13 +22,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .bloch import bloch_angle
 from .constants import CONSTANTS, s_to_ps
+from .csvio import write_columns
 from .errors import NumericalError
 from .system import SeedPulse, TwoLevelMedium
 
@@ -103,12 +103,16 @@ def classify_regime(w0: float, theta_r: float) -> Regime:
     return Regime.ABSORBING_WEAK_SEED if weak else Regime.ABSORBING_STRONG_SEED
 
 
-def characteristic_duration(medium: TwoLevelMedium) -> float:
-    """Collective emission time scale tau_W = 4 hbar / (mu0 c omega mu^2 |w0| N L)."""
-    if medium.N == 0.0 or medium.w0 == 0.0:
+def characteristic_duration(medium: TwoLevelMedium, N=None):
+    """Collective emission time scale tau_W = 4 hbar / (mu0 c omega mu^2 |w0| N L).
+
+    N overrides medium.N and may be an array; the result is then elementwise.
+    """
+    n = medium.N if N is None else N
+    if not np.greater(n, 0.0).all() or medium.w0 == 0.0:
         raise NoSuperradianceError("collective emission requires N > 0 and w0 != 0")
     k = CONSTANTS
-    denom = k.mu0 * k.c * medium.omega * medium.mu**2 * abs(medium.w0) * medium.N * medium.L
+    denom = k.mu0 * k.c * medium.omega * medium.mu**2 * abs(medium.w0) * n * medium.L
     return 4.0 * k.hbar / denom
 
 
@@ -122,17 +126,18 @@ def _branch(w0: float) -> float:
     return math.copysign(1.0, w0)
 
 
-def time_delay(medium: TwoLevelMedium, theta_r: float, tau_r: float) -> float:
+def time_delay(medium: TwoLevelMedium, theta_r: float, tau_r: float, N=None):
     """Burst delay tau_D = tau_r - sign(w0) tau_W ln tan(theta_r / 2).
 
     For an inverted medium this exceeds tau_r exactly when theta_r < pi/2
     (the smaller the tipping angle, the longer the lever arm of the unstable
     equilibrium); for an absorbing medium the inequality flips. Diverges
-    logarithmically as theta_r -> 0 or pi.
+    logarithmically as theta_r -> 0 or pi. N overrides medium.N and may be
+    an array.
     """
     if not 0.0 < theta_r < math.pi:
         raise ValueError("theta_r must lie strictly inside (0, pi)")
-    tau_w = characteristic_duration(medium)
+    tau_w = characteristic_duration(medium, N)
     # ln tan(pi/4) is 0; special-cased so the midpoint maps to tau_r exactly.
     log_tan = 0.0 if theta_r == 0.5 * math.pi else math.log(math.tan(0.5 * theta_r))
     return tau_r - _branch(medium.w0) * tau_w * log_tan
@@ -192,15 +197,21 @@ class SuperradianceSolution:
                            self.tau_D + window_tau_w * self.tau_W, n)
 
 
-def peak_power_density(medium: TwoLevelMedium) -> float:
-    """Burst peak power per volume, P0 = mu0 c omega^2 mu^2 w0^2 N^2 L / 8."""
+def peak_power_density(medium: TwoLevelMedium, N=None):
+    """Burst peak power per volume, P0 = mu0 c omega^2 mu^2 w0^2 N^2 L / 8.
+
+    N overrides medium.N and may be an array. numpy squares an array as
+    N * N while a Python float's N**2 goes through libm pow, so the two
+    can differ in the last bit.
+    """
     k = CONSTANTS
-    return 0.125 * k.mu0 * k.c * medium.omega**2 * medium.mu**2 * medium.w0**2 * medium.N**2 * medium.L
+    n = medium.N if N is None else N
+    return 0.125 * k.mu0 * k.c * medium.omega**2 * medium.mu**2 * medium.w0**2 * n**2 * medium.L
 
 
-def peak_intensity(medium: TwoLevelMedium) -> float:
+def peak_intensity(medium: TwoLevelMedium, N=None):
     """Burst peak intensity, exactly peak_power_density * L (scales as N^2 L^2)."""
-    return peak_power_density(medium) * medium.L
+    return peak_power_density(medium, N) * medium.L
 
 
 def solve_after_seed(medium: TwoLevelMedium, theta_r: float, tau_r: float) -> SuperradianceSolution:
@@ -316,15 +327,13 @@ def write_profile_csv(path, sol: SuperradianceSolution, t: Optional[np.ndarray] 
     """Write burst profiles on grid t (default: tau_D +- 20 tau_W, 2001 points)."""
     if t is None:
         t = sol.time_grid()
-    theta = sol.bloch_angle(t)
-    e = energy_density(t, sol)
-    p = emitted_power_density(t, sol)
-    i_s = emitted_intensity(t, sol)
-    f = emitted_field_envelope(t, sol)
-    with Path(path).open("w") as fh:
-        fh.write("t_ps,theta_rad,energy_density_J_m3,power_W_m3,intensity_W_m2,field_V_m\n")
-        for j in range(len(t)):
-            fh.write(
-                f"{s_to_ps(float(t[j]))!r},{float(theta[j])!r},{float(e[j])!r},"
-                f"{float(p[j])!r},{float(i_s[j])!r},{float(f[j])!r}\n"
-            )
+    t = np.asarray(t, dtype=float)
+    write_columns(
+        path,
+        "t_ps,theta_rad,energy_density_J_m3,power_W_m3,intensity_W_m2,field_V_m",
+        [
+            s_to_ps(t), sol.bloch_angle(t), energy_density(t, sol),
+            emitted_power_density(t, sol), emitted_intensity(t, sol),
+            emitted_field_envelope(t, sol),
+        ],
+    )

@@ -181,10 +181,9 @@ def _check_calibration_roundtrip(cfg) -> CheckResult:
     return CheckResult("calibration-roundtrip", rel <= 1e-10, f"relative defect {rel:.3e}")
 
 
-def _check_scan_scaling(cfg) -> CheckResult:
-    cal = cfgmod.calibration(cfg)
-    rows = pressure_scan(
-        cal,
+def _default_scan(cfg):
+    return pressure_scan(
+        cfgmod.calibration(cfg),
         cfgmod.seed_pulse(cfg),
         cfgmod.medium_template(cfg),
         DEFAULT_SCAN_PRESSURES,
@@ -193,16 +192,15 @@ def _check_scan_scaling(cfg) -> CheckResult:
         validity_threshold=cfg.validity_threshold,
         dt=cfgmod.dt_seconds(cfg),
     )
-    p_max = rows[-1].p_mbar
-    worst = 0.0
-    for r in rows:
-        x = (r.p_mbar - cal.p0) / (p_max - cal.p0)
-        worst = max(worst, abs(r.I_peak_norm - x**2), abs(r.E_total_norm - x))
-    tau_w = [r.tau_W for r in rows]
-    tau_d = [r.tau_D for r in rows]
-    monotone = all(a > b for a, b in zip(tau_w, tau_w[1:])) and all(
-        a > b for a, b in zip(tau_d, tau_d[1:])
-    )
+
+
+def _check_scan_scaling(cfg, scan) -> CheckResult:
+    p0 = cfgmod.calibration(cfg).p0
+    x = (scan.p_mbar - p0) / (scan.p_mbar[-1] - p0)
+    worst = float(max(
+        np.max(np.abs(scan.I_peak_norm - x**2)), np.max(np.abs(scan.E_total_norm - x))
+    ))
+    monotone = bool(np.all(np.diff(scan.tau_W) < 0.0) and np.all(np.diff(scan.tau_D) < 0.0))
     ok = worst <= 1e-12 and monotone
     return CheckResult(
         "scan-scaling", ok,
@@ -210,22 +208,32 @@ def _check_scan_scaling(cfg) -> CheckResult:
     )
 
 
-def _check_dephasing(cfg) -> CheckResult:
+def _check_dephasing(cfg, scan) -> CheckResult:
+    """tau_2 is 1/p and the scan's dephasing column is dephasing_time itself.
+
+    Both hold for every valid config; the published 207 ps at 20 mbar is a
+    property of the default config and is pinned by the acceptance tests.
+    The margin at the anchor pressure must still clear the threshold.
+    """
     params = cfgmod.dephasing_parameters(cfg)
-    tau_2 = dephasing_time(20.0, params)
-    expected = 207e-12
-    in_band = abs(tau_2 - expected) <= 0.1 * expected
-    covers = 0.9 * tau_2 <= 200e-12 <= 1.1 * tau_2
+    p = np.asarray(DEFAULT_SCAN_PRESSURES)
+    product = dephasing_time(p, params) * p
+    inverse_p = float(np.max(np.abs(product / product[0] - 1.0))) <= 1e-12
+    column = all(
+        tau_2 == dephasing_time(p_mbar, params)
+        for p_mbar, tau_2 in zip(DEFAULT_SCAN_PRESSURES, scan.dephasing.tolist())
+    )
 
     sol = _reference_solution(cfg)
     cal = cfgmod.calibration(cfg)
     check = superradiance_valid(
         dephasing_time(cal.anchor_p, params), sol.tau_W, sol.tau_D, threshold=cfg.validity_threshold
     )
-    ok = in_band and covers and check.valid
+    ok = inverse_p and column and check.valid
     return CheckResult(
         "dephasing-window", ok,
-        f"tau_2(20 mbar) = {s_to_ps(tau_2):.1f} ps, anchor margin = {check.margin:.1f}",
+        f"tau_2(20 mbar) = {s_to_ps(dephasing_time(20.0, params)):.1f} ps, "
+        f"anchor margin = {check.margin:.1f}",
     )
 
 
@@ -233,6 +241,7 @@ def run_validation_checks(cfg, corrupt: Optional[str] = None) -> list[CheckResul
     if corrupt is not None and corrupt not in _CORRUPTIBLE:
         raise ValueError(f"corruptible constants are {', '.join(_CORRUPTIBLE)}")
     conservation, closed_form = _check_bloch(cfg)
+    scan = _default_scan(cfg)
     return [
         _check_constants_product(corrupt),
         _check_seed_roundtrip(cfg),
@@ -243,6 +252,6 @@ def run_validation_checks(cfg, corrupt: Optional[str] = None) -> list[CheckResul
         _check_energy_bookkeeping(cfg),
         _check_width_rule(cfg),
         _check_calibration_roundtrip(cfg),
-        _check_scan_scaling(cfg),
-        _check_dephasing(cfg),
+        _check_scan_scaling(cfg, scan),
+        _check_dephasing(cfg, scan),
     ]

@@ -150,6 +150,29 @@ class TestPressureScan:
         assert f"pressure '{token}' must be finite" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("pressures, named", [("6,8", "6.0"), ("100,7,6", "7.0")])
+    def test_absorbing_medium_names_the_pressure(self, tmp_path, capsys, pressures, named):
+        args = ["pressure-scan", "--set", "w0=-0.1", "--pressures", pressures]
+        assert main([*args, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: tau_D = ") and f"at p = {named} mbar" in err
+        assert "w0 < 0" in err and err.count("\n") == 1
+
+    def test_stdout_rows_match_scan(self, tmp_path, capsys):
+        assert main(["pressure-scan", "--pressures", "6,8,40", "--set", "sigma_cm2=1e-13",
+                     "--out", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        cols = read_csv(tmp_path / "pressure_scan.csv")
+        assert len(lines) == 4
+        keys = ("p_mbar", "tau_W_ps", "tau_D_ps", "validity_margin")
+        for line, p, tau_w, tau_d, margin in zip(lines[1:], *(floats(cols, k) for k in keys)):
+            flag = "" if margin >= 10.0 else "  [dephasing margin below threshold]"
+            assert line == (
+                f"p = {p:5.1f} mbar: tau_W = {tau_w:6.3f} ps, "
+                f"tau_D = {tau_d:6.3f} ps, margin = {margin:7.1f}{flag}"
+            )
+        assert lines[-1].endswith("[dephasing margin below threshold]")
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["pressure-scan", "--out", str(a)]) == 0
@@ -223,6 +246,16 @@ class TestValidate:
         args = ["--set", "seed_intensity_mw_cm2=none", "--set", "seed_e0_v_m=5e6"]
         assert main(["validate", *args, "--out", str(tmp_path)]) == 0
         assert "PASS  seed-field-roundtrip" in capsys.readouterr().out
+
+    def test_other_cross_section_passes(self, tmp_path, capsys):
+        """The dephasing check holds for any valid config, not only the default one."""
+        assert main(["validate", "--set", "sigma_cm2=2e-15", "--out", str(tmp_path)]) == 0
+        assert "PASS  dephasing-window: tau_2(20 mbar) = 103.5 ps" in capsys.readouterr().out
+
+    def test_absorbing_medium_exits_1(self, tmp_path, capsys):
+        assert main(["validate", "--set", "w0=-0.1", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "at p = 6.0 mbar" in err and err.count("\n") == 1
 
     def test_unknown_corrupt_name_exits_1(self, tmp_path):
         assert main(["validate", "--corrupt", "bogus", "--out", str(tmp_path)]) == 1

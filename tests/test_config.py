@@ -3,6 +3,7 @@ import math
 import pytest
 
 from n2sr.config import (
+    MAX_GRID_POINTS,
     MAX_RK4_STEPS,
     PENDULUM_SPAN_TAU_W,
     ConfigError,
@@ -148,6 +149,20 @@ class TestStepCap:
         # Uncapped, this would ask the seed kernel for about 7e12 nodes.
         with pytest.raises(ConfigError, match="dt_over_tau_s"):
             load_config(overrides=["dt_over_tau_s=1e-12"])
+
+
+class TestGridCap:
+    """Profile and regime grids are bounded at parse time, before any array exists."""
+
+    @pytest.mark.parametrize("key", ["profile_points", "regime_points"])
+    def test_cap_names_the_key(self, key):
+        assert getattr(load_config(overrides=[f"{key}={MAX_GRID_POINTS}"]), key) == MAX_GRID_POINTS
+        with pytest.raises(ConfigError, match=f"'{key}' asks for {MAX_GRID_POINTS + 1} grid points"):
+            load_config(overrides=[f"{key}={MAX_GRID_POINTS + 1}"])
+
+    def test_absurd_grid_is_rejected(self):
+        with pytest.raises(ConfigError, match="regime_points"):
+            load_config(overrides=["regime_points=10000000000000"])
 
 
 def test_derived_builders():

@@ -1,5 +1,6 @@
 """Density calibration, pressure scan predictions, dephasing window."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +24,12 @@ from n2sr.pressure import (
     total_emitted_energy,
     write_scan_csv,
 )
-from n2sr.superradiance import characteristic_duration
+from n2sr.superradiance import (
+    characteristic_duration,
+    peak_intensity,
+    peak_power_density,
+    time_delay,
+)
 
 THETA_R = 0.17392466546264773
 TABLE_PRESSURES = [6.0, 7.0, 8.0, 10.0, 12.0, 14.0, 16.0, 18.0, 20.0]
@@ -236,3 +242,92 @@ class TestScan:
         first = lines[1].split(",")
         assert float(first[0]) == 6.0
         assert float(first[2]) == pytest.approx(s_to_ps(rows[0].tau_W), rel=1e-15)
+
+
+def ulps(a, b):
+    """Distance between two doubles in units in the last place of the larger."""
+    return abs(a - b) / math.ulp(max(abs(a), abs(b)))
+
+
+class TestColumnarScan:
+    """The columnar scan against the scalar closed forms, pressure by pressure."""
+
+    @pytest.fixture(scope="class")
+    def pressures(self):
+        rng = np.random.default_rng(7)
+        return [*TABLE_PRESSURES, *rng.uniform(2.51, 60.0, 400).tolist()]
+
+    @pytest.fixture(scope="class")
+    def scan(self, cal, seed, template, dephasing, pressures):
+        return pressure_scan(cal, seed, template, pressures, dephasing)
+
+    def test_columns_equal_scalar_closed_forms(self, scan, pressures, cal, seed, template, dephasing):
+        i_ref = int(np.argmax(pressures))
+        m_ref = medium_at_pressure(cal, template, pressures[i_ref])
+        i_peak_ref = peak_intensity(m_ref)
+        e_ref = total_emitted_energy(m_ref, scan.theta_r, 50e-6)
+        for i, p in enumerate(pressures):
+            m = medium_at_pressure(cal, template, p)
+            tau_w = characteristic_duration(m)
+            tau_d = time_delay(m, scan.theta_r, seed.tau_r)
+            tau_2 = dephasing_time(p, dephasing)
+            check = superradiance_valid(tau_2, tau_w, tau_d)
+            e_total = total_emitted_energy(m, scan.theta_r, 50e-6)
+            row = scan[i]
+            assert (row.p_mbar, row.N, row.tau_W, row.tau_D) == (p, m.N, tau_w, tau_d)
+            assert row.E_total == e_total
+            assert row.E_total_norm == e_total / e_ref
+            assert row.E_total_integral == emitted_energy_integral(m, scan.theta_r, 50e-6)
+            assert (row.dephasing, row.validity_margin) == (tau_2, check.margin)
+            assert row.valid == check.valid
+            # numpy squares N as N * N, Python's N**2 calls libm pow.
+            assert ulps(row.I_peak, peak_intensity(m)) <= 1.0
+            assert ulps(row.I_peak_norm, peak_intensity(m) / i_peak_ref) <= 1.0
+
+    def test_table_shape(self, scan, pressures):
+        assert len(scan) == len(pressures)
+        assert isinstance(scan[-1].valid, bool) and scan[-1].p_mbar == pressures[-1]
+        assert [r.p_mbar for r in scan] == pressures
+        for name in ("p_mbar", "tau_W", "valid"):
+            column = getattr(scan, name)
+            assert column.shape == (len(pressures),)
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+
+    def test_array_calls_equal_scalar_calls(self, anchor_medium, dephasing):
+        n = anchor_medium.N * np.array([0.5, 1.0, 3.0])
+        p = np.array([3.0, 8.0, 25.0])
+        for j in range(3):
+            m = anchor_medium.with_density(float(n[j]))
+            assert characteristic_duration(anchor_medium, n)[j] == characteristic_duration(m)
+            assert time_delay(anchor_medium, THETA_R, 1e-12, n)[j] == time_delay(m, THETA_R, 1e-12)
+            assert ulps(peak_power_density(anchor_medium, n)[j], peak_power_density(m)) <= 1.0
+            assert dephasing_time(p, dephasing)[j] == dephasing_time(float(p[j]), dephasing)
+
+    def test_scalar_calls_return_python_types(self, anchor_medium, dephasing):
+        check = superradiance_valid(200e-12, 1e-12, 4e-12)
+        assert type(check.margin) is float and type(check.valid) is bool
+        assert type(characteristic_duration(anchor_medium)) is float
+        assert type(dephasing_time(8.0, dephasing)) is float
+
+    def test_non_positive_delay_names_the_pressure(self):
+        tau_d = np.array([4e-12, -1e-12, -2e-12])
+        with pytest.raises(ValueError, match=r"tau_D = -1 ps at p = 7.5 mbar") as err:
+            superradiance_valid(
+                np.full(3, 1e-10), np.full(3, 1e-12), tau_d, p_mbar=np.array([6.0, 7.5, 9.0])
+            )
+        assert "w0 < 0" in str(err.value) and "\n" not in str(err.value)
+        with pytest.raises(ValueError, match="undefined where tau_D <= 0"):
+            superradiance_valid(1e-10, 1e-12, 0.0)
+
+    def test_absorbing_scan_rejected(self, cal, seed, template, dephasing):
+        absorbing = dataclasses.replace(template, w0=-template.w0)
+        with pytest.raises(ValueError, match=r"at p = 6.0 mbar"):
+            pressure_scan(cal, seed, absorbing, [100.0, 6.0, 8.0], dephasing)
+
+    def test_density_from_pressure_array(self, cal):
+        p = np.array([3.0, 8.0])
+        scalar = [density_from_pressure(cal, x) for x in (3.0, 8.0)]
+        assert density_from_pressure(cal, p).tolist() == scalar
+        with pytest.raises(BelowThresholdError, match="2.0 mbar"):
+            density_from_pressure(cal, np.array([8.0, 2.0]))

@@ -334,6 +334,58 @@ class TestTraceCsv:
         with pytest.raises(TraceFormatError):
             read_trace_csv(path)
 
+    ROWS = "".join(f"{0.5 * i!r},{1.0 + 0.25 * i!r}\n" for i in range(10))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# pressure_mbar=abc\ntime_ps,intensity_arb\n" + ROWS,
+             ":1: unreadable pressure_mbar value"),
+            ("time_ps,intensity_arb\n" + ROWS + "# pressure_mbar=1,5\n",
+             ":12: unreadable pressure_mbar value"),
+            ("# note\n\nt,y\n" + ROWS, ":3: expected header 'time_ps,intensity_arb'"),
+            ("time_ps,intensity_arb\n0.0,1.0\n1.0,2.0,3.0\n4.0\n" + ROWS,
+             ":3: expected two comma-separated fields"),
+            ("time_ps,intensity_arb\n" + ROWS + "5.0\n", ":12: expected two comma-separated fields"),
+            ("time_ps,intensity_arb\n" + ROWS + "\n# c\n9.0,x\n", ":14: unreadable numeric field"),
+            ("# pressure_mbar=8\n\n# only comments\n", ": missing 'time_ps,intensity_arb' header"),
+            ("time_ps,intensity_arb\n\n# no rows\n", ": no data rows"),
+            ("time_ps,intensity_arb\n0.0,1.0\n1.0,2.0\n", ": a trace needs at least 8 samples"),
+            ("time_ps,intensity_arb\n" + ROWS + "1.0,nan\n", ": trace samples must be finite"),
+        ],
+    )
+    def test_error_names_file_and_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(TraceFormatError) as err:
+            read_trace_csv(path)
+        assert str(err.value) == f"{path}{message}"
+
+    def test_comments_and_blank_lines_anywhere(self, tmp_path):
+        tr = synthesize_sech2_trace(1.0, ps_to_s(5.0), ps_to_s(1.0), 0.0, ps_to_s(10.0), 64, 8.0)
+        clean = tmp_path / "clean.csv"
+        write_trace_csv(clean, tr)
+        lines = clean.read_text().splitlines()
+        lines[30:30] = ["", "# mid-file note", "   ", "# pressure_mbar = 9.5"]
+        messy = tmp_path / "messy.csv"
+        messy.write_text("\n\n" + "\n".join(lines) + "\n\n")
+        a, b = read_trace_csv(clean), read_trace_csv(messy)
+        assert (a.pressure, b.pressure) == (8.0, 9.5)  # the last pressure line wins
+        assert np.array_equal(a.t, b.t) and np.array_equal(a.intensity, b.intensity)
+
+    def test_bulk_parse_matches_line_loop(self, tmp_path):
+        """Bit for bit against a plain per-line float() parse, spaces and CRLF included."""
+        rng = np.random.default_rng(5)
+        t_ps = np.sort(rng.uniform(-50.0, 50.0, 3001))
+        y = rng.standard_normal(3001) ** 2 * 10.0 ** rng.integers(-20, 20, 3001)
+        body = "".join(f" {a!r} ,{b!r}\r\n" for a, b in zip(t_ps.tolist(), y.tolist()))
+        path = tmp_path / "trace.csv"
+        path.write_bytes(("time_ps, intensity_arb\r\n" + body).encode())
+        back = read_trace_csv(path)
+        assert np.array_equal(back.t, np.array([ps_to_s(float(a)) for a in t_ps.tolist()]))
+        assert np.array_equal(back.intensity, y)
+        assert back.t.flags.c_contiguous and back.intensity.flags.c_contiguous
+
 
 @given(
     amp=st.floats(min_value=0.1, max_value=10.0),
