@@ -167,6 +167,11 @@ def cmd_regimes(cfg: RunConfig, outdir: Path) -> int:
 
 
 def _parse_pressures(raw: str) -> list[float]:
+    fields = raw.count(",") + 1
+    if fields > cfgmod.MAX_GRID_POINTS:
+        raise ConfigError(
+            f"--pressures has {fields} comma-separated fields; the limit is {cfgmod.MAX_GRID_POINTS}"
+        )
     pressures = []
     for tok in (t.strip() for t in raw.split(",")):
         if not tok:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -225,7 +224,8 @@ def fit_sech2(
     a rejected step and shrinks tenfold on an accepted one. Convergence is
     declared when the relative parameter step falls below `tol` (default
     1e-8) within `max_iter` iterations; otherwise the best parameters so far
-    are returned with converged=False.
+    are returned with converged=False. The tau_D step is taken relative to
+    max(|tau_D|, tau_W), so a pulse centred at t = 0 can converge.
 
     If no initial guess is given it is built from the peak height, the
     interpolated peak delay and the measured FWHM; a trace in which no pulse
@@ -282,7 +282,9 @@ def fit_sech2(
         r_trial = residual(trial)
         cost_trial = float(r_trial @ r_trial)
         if cost_trial < cost:
-            rel_step = float(np.max(np.abs(step) / np.maximum(np.abs(trial), 1e-300)))
+            scale = np.abs(trial)
+            scale[1] = max(scale[1], trial[2])  # tau_D can sit at 0: measure it in widths
+            rel_step = float(np.max(np.abs(step) / np.maximum(scale, 1e-300)))
             p, r, cost = trial, r_trial, cost_trial
             lam = max(lam * 0.1, 1e-15)
             if rel_step < tol:
@@ -386,9 +388,11 @@ def read_trace_csv(path) -> TemporalTrace:
     """Read a trace file: optional '# pressure_mbar=...' comments, then a
     'time_ps,intensity_arb' header and rows. Times are converted to seconds.
 
-    Blank and '#' lines may appear anywhere. The rows are parsed in one pass
-    over all fields; only a body that does not parse that way is walked line
-    by line, to read interleaved comments or to name the bad line.
+    Blank and '#' lines may appear anywhere. The rows are parsed by numpy's
+    C text reader; only a body it rejects is walked line by line, to read
+    interleaved comments, to read the tokens that float() accepts and numpy
+    does not (such as '1_0'), or to name the bad line. The accepted syntax is
+    therefore float()'s.
     """
     path = Path(path)
     lines = path.read_text().split("\n")
@@ -406,19 +410,21 @@ def read_trace_csv(path) -> TemporalTrace:
     else:
         raise TraceFormatError(f"{path}: missing '{TRACE_CSV_HEADER}' header")
 
-    body = lines[i + 1:-1] if lines[-1] == "" else lines[i + 1:]
-    rows = [row.split(",") for row in body]
+    body = lines[i + 1:]
+    rows = np.empty((0, 2))
     try:
-        if set(map(len, rows)) - {2}:
-            raise ValueError("a row without exactly two fields")
-        values = np.fromiter(map(float, chain.from_iterable(rows)), float, 2 * len(rows))
+        if any(body):  # on a body of empty lines loadtxt warns instead of raising
+            rows = np.loadtxt(body, dtype=float, delimiter=",", comments=None, ndmin=2)
+        if rows.shape[1] != 2:
+            raise ValueError("rows without exactly two fields")
     except ValueError:
         pressure, values = _walk_rows(path, lines, i + 1, pressure)
-    if not values.size:
+        rows = values.reshape(-1, 2)
+    if not rows.size:
         raise TraceFormatError(f"{path}: no data rows")
     try:
         return TemporalTrace(
-            t=ps_to_s(values[0::2]), intensity=values[1::2].copy(), pressure=pressure,
+            t=ps_to_s(rows[:, 0]), intensity=rows[:, 1].copy(), pressure=pressure,
             label=path.stem,
         )
     except ValueError as exc:

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from n2sr.cli import main
+from n2sr import config
+from n2sr.cli import _parse_pressures, main
 from n2sr.constants import ps_to_s
 from n2sr.profiles import synthesize_sech2_trace, write_trace_csv
 
@@ -173,6 +174,20 @@ class TestPressureScan:
             )
         assert lines[-1].endswith("[dephasing margin below threshold]")
 
+    def test_pressure_list_capped_before_parsing(self, tmp_path, capsys):
+        raw = ",".join(["spam"] * (config.MAX_GRID_POINTS + 1))
+        assert main(["pressure-scan", "--pressures", raw, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --pressures has {config.MAX_GRID_POINTS + 1} comma-separated fields; "
+            f"the limit is {config.MAX_GRID_POINTS}\n"
+        )
+
+    def test_pressure_cap_boundary(self, monkeypatch):
+        monkeypatch.setattr(config, "MAX_GRID_POINTS", 3)
+        assert _parse_pressures("6, 8,10") == [6.0, 8.0, 10.0]
+        with pytest.raises(config.ConfigError, match="--pressures has 4 comma-separated fields"):
+            _parse_pressures("6,8,10,")
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["pressure-scan", "--out", str(a)]) == 0
@@ -220,6 +235,13 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(missing) in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("body", ["", "\n\n", " \n\t\n"])
+    def test_header_only_trace_exits_1(self, tmp_path, capsys, body):
+        path = tmp_path / "rows.csv"
+        path.write_text("time_ps,intensity_arb\n" + body)
+        assert main(["fit", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {path}: no data rows\n"
 
     def test_empty_trace_exits_1(self, tmp_path):
         empty = tmp_path / "empty.csv"

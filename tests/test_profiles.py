@@ -1,6 +1,7 @@
 """Trace analysis: width/delay extraction, sech^2 fitting, overlays."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -217,6 +218,14 @@ class TestFit:
         assert fit.converged
         assert fit.tau_W == pytest.approx(tau_w, rel=1e-5)
 
+    def test_centred_pulse_converges(self):
+        """At tau_D = 0 the tau_D step is measured in widths, not against |tau_D| ~ 0."""
+        tau_w = ps_to_s(1.0)
+        fit = fit_sech2(synthesize_sech2_trace(1.0, 0.0, tau_w, -10.0 * tau_w, 10.0 * tau_w, 2001))
+        assert fit.converged
+        assert fit.tau_W == pytest.approx(tau_w, rel=1e-6)
+        assert abs(fit.tau_D) < 1e-9 * tau_w
+
     def test_fit_invariants(self):
         with pytest.raises(ValueError):
             SechFit(amplitude=1.0, tau_D=0.0, tau_W=0.0, rms_residual=0.0, converged=False)
@@ -385,6 +394,79 @@ class TestTraceCsv:
         assert np.array_equal(back.t, np.array([ps_to_s(float(a)) for a in t_ps.tolist()]))
         assert np.array_equal(back.intensity, y)
         assert back.t.flags.c_contiguous and back.intensity.flags.c_contiguous
+
+
+_PRESSURE_LINE = re.compile(r"^#\s*pressure_mbar\s*=\s*(\S+)\s*$")
+_PADDING = st.sampled_from(["", " ", "\t", " \t  "])
+_TOKENS = ["1_0", "\u0661", "nan", "-iNF", "1e500", "1e-400", "oops"]
+_EXTRA_LINES = ["", "   ", "\t", "# note", "# pressure_mbar=9.5", "1.5", "1.5,2.0,3.0", "1.5,2.0 # x"]
+
+
+@st.composite
+def trace_files(draw):
+    """A header and a body of padded rows, with special tokens, blank, '#',
+    1-field and 3-field lines anywhere, and LF or CRLF line ends."""
+    size = draw(st.sampled_from([0, 3, 8, 16, 24]))
+    intensities = draw(st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=size, max_size=size))
+    rows = [[repr(0.25 * i - 3.0), repr(y)] for i, y in enumerate(intensities)]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row, col = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 1))
+        rows[row][col] = draw(st.sampled_from(_TOKENS))
+    lines = [f"{draw(_PADDING)}{a}{draw(_PADDING)},{draw(_PADDING)}{b}{draw(_PADDING)}" for a, b in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_EXTRA_LINES)))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(["time_ps,intensity_arb", *lines])
+    return text + eol if draw(st.booleans()) else text
+
+
+def read_line_by_line(path):
+    """Reference reader: every body line on its own, every field through float()."""
+    lines = path.read_text().split("\n")
+    assert lines[0] == "time_ps,intensity_arb"
+    pressure, t_ps, intensity = None, [], []
+    for lineno, raw in enumerate(lines[1:], start=2):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            m = _PRESSURE_LINE.match(line)
+            pressure = float(m.group(1)) if m else pressure
+            continue
+        fields = line.split(",")
+        if len(fields) != 2:
+            raise TraceFormatError(f"{path}:{lineno}: expected two comma-separated fields")
+        try:
+            t, y = float(fields[0]), float(fields[1])
+        except ValueError:
+            raise TraceFormatError(f"{path}:{lineno}: unreadable numeric field") from None
+        t_ps.append(t)
+        intensity.append(y)
+    if not t_ps:
+        raise TraceFormatError(f"{path}: no data rows")
+    try:
+        return TemporalTrace(t=[ps_to_s(t) for t in t_ps], intensity=intensity, pressure=pressure)
+    except ValueError as exc:
+        raise TraceFormatError(f"{path}: {exc}") from None
+
+
+@given(text=trace_files())
+@settings(max_examples=300)
+def test_reader_matches_line_by_line_float(tmp_path_factory, text):
+    """read_trace_csv returns the reference's bits, or fails with its message."""
+    path = tmp_path_factory.mktemp("trace") / "trace.csv"
+    path.write_bytes(text.encode())
+    try:
+        want = read_line_by_line(path)
+    except TraceFormatError as exc:
+        with pytest.raises(TraceFormatError) as err:
+            read_trace_csv(path)
+        assert str(err.value) == str(exc)
+    else:
+        got = read_trace_csv(path)
+        assert got.t.tobytes() == want.t.tobytes()
+        assert got.intensity.tobytes() == want.intensity.tobytes()
+        assert got.pressure == want.pressure
 
 
 @given(
