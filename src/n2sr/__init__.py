@@ -12,7 +12,6 @@ from .bloch import (
     BlochTrajectory,
     analytic_seed_solution,
     bloch_angle,
-    coherence_amplitudes,
     integrate_bloch_rwa,
 )
 from .constants import CONSTANTS, PhysicalConstants
@@ -36,7 +35,6 @@ from .profiles import (
     NotAPulseError,
     SechFit,
     TemporalTrace,
-    compare_profile,
     extract_fwhm,
     extract_peak_delay,
     fit_sech2,
@@ -58,11 +56,9 @@ from .superradiance import (
     solve_after_seed,
     solve_from_seed,
     spontaneous_decay_time,
-    superradiant_bloch_angle,
     time_delay,
 )
 from .system import (
-    EnvelopeShape,
     SeedPulse,
     TwoLevelMedium,
     peak_field_from_intensity,

@@ -31,7 +31,6 @@ __all__ = [
     "bloch_angle",
     "integrate_bloch_rwa",
     "analytic_seed_solution",
-    "coherence_amplitudes",
 ]
 
 # Default integration/quadrature step relative to the seed duration.
@@ -224,13 +223,3 @@ def analytic_seed_solution(
     theta = bloch_angle(pulse, medium, t, dt=dt, envelope=envelope)
     return BlochState(t=t, u=0.0, v=medium.w0 * math.sin(theta), w=medium.w0 * math.cos(theta))
 
-
-def coherence_amplitudes(state: BlochState) -> tuple[complex, complex]:
-    """Slowly varying off-diagonal density-matrix elements (rho21, rho12).
-
-    Inverts u = rho21 + rho12, v = i(rho21 - rho12); the pair is Hermitian,
-    rho12 = conj(rho21).
-    """
-    rho21 = 0.5 * (state.u - 1j * state.v)
-    rho12 = 0.5 * (state.u + 1j * state.v)
-    return rho21, rho12

@@ -1,8 +1,9 @@
 """`sr` command-line interface.
 
 Subcommands: seed-phase, regimes, pressure-scan, fit, validate. Exit codes:
-0 success, 1 usage, configuration or file access error, 2 numerical failure,
-3 validation failure.
+0 success, 1 usage, configuration or file access error, 2 numerical failure
+(a non-finite integrator state, or arithmetic that overflows or divides by
+zero), 3 validation failure.
 """
 
 from __future__ import annotations
@@ -22,13 +23,14 @@ from .config import ConfigError, RunConfig, load_config, resolved_items
 from .constants import per_m3_to_per_cm3, s_to_ps
 from .csvio import write_columns
 from .errors import NumericalError
-from .pressure import (
-    REFERENCE_DENSITY_SLOPE_PER_CM3_MBAR,
-    medium_at_pressure,
-    pressure_scan,
-    write_scan_csv,
+from .pressure import REFERENCE_DENSITY_SLOPE_PER_CM3_MBAR, write_scan_csv
+from .profiles import (
+    fit_sech2,
+    read_trace_csv,
+    sech2_profile,
+    summarize_by_pressure,
+    write_summary_csv,
 )
-from .profiles import fit_sech2, read_trace_csv, summarize_by_pressure, write_summary_csv
 from .superradiance import solve_after_seed, write_profile_csv
 from .validation import run_validation_checks
 
@@ -114,22 +116,24 @@ def cmd_seed_phase(cfg: RunConfig, outdir: Path) -> int:
 
 
 def cmd_regimes(cfg: RunConfig, outdir: Path) -> int:
-    seed = cfgmod.seed_pulse(cfg)
-    cal = cfgmod.calibration(cfg)
-    medium = medium_at_pressure(cal, cfgmod.medium_template(cfg), cal.anchor_p)
-    theta_weak = bloch_angle(seed, medium, seed.tau_r, dt=cfgmod.dt_seconds(cfg))
+    # The angle is checked before the reference burst is built, which would
+    # reject an angle outside (0, pi) with a message that names no value.
+    seed, dt = cfgmod.seed_pulse(cfg), cfgmod.dt_seconds(cfg)
+    theta_weak = bloch_angle(seed, cfgmod.medium_template(cfg), seed.tau_r, dt=dt)
     if not 0.0 < theta_weak < 0.5 * math.pi:
         raise ConfigError(
             f"the configured seed tips the Bloch vector to {theta_weak:.4f} rad; "
             "the weak-seed panels need theta_r in (0, pi/2)"
         )
+    weak = cfgmod.reference_solution(cfg)
+    medium, tau_r = weak.medium, weak.tau_r
     theta_strong = cfg.theta_strong_over_pi * math.pi
-
+    absorbing = dataclasses.replace(medium, w0=-medium.w0)
     solutions = [
-        solve_after_seed(medium, theta_weak, seed.tau_r),
-        solve_after_seed(medium, theta_strong, seed.tau_r),
-        solve_after_seed(dataclasses.replace(medium, w0=-medium.w0), theta_weak, seed.tau_r),
-        solve_after_seed(dataclasses.replace(medium, w0=-medium.w0), theta_strong, seed.tau_r),
+        weak,
+        solve_after_seed(medium, theta_strong, tau_r),
+        solve_after_seed(absorbing, weak.theta_r, tau_r),
+        solve_after_seed(absorbing, theta_strong, tau_r),
     ]
 
     # Shared dimensionless grid (t - tau_r)/tau_W, with each burst's exact
@@ -144,25 +148,21 @@ def cmd_regimes(cfg: RunConfig, outdir: Path) -> int:
     grid = np.unique(np.concatenate([grid, np.asarray(peaks)]))
 
     for idx, sol in enumerate(solutions, start=1):
-        t = seed.tau_r + grid * sol.tau_W
-        theta = sol.bloch_angle(t)
-        w = sol.population_difference(t)
-        x = (t - sol.tau_D) / sol.tau_W
-        p_norm = 1.0 / np.cosh(x) ** 2
+        t = tau_r + grid * sol.tau_W
         write_columns(
             outdir / f"regime{idx}.csv", "t_ps,t_rel_tau_W,theta_rad,w,P_over_P0",
-            [s_to_ps(t), grid, theta, w, p_norm],
+            [
+                s_to_ps(t), grid, sol.bloch_angle(t), sol.population_difference(t),
+                sech2_profile(t, 1.0, sol.tau_D, sol.tau_W),
+            ],
         )
         print(
             f"regime {idx} ({sol.regime.name.lower().replace('_', ' ')}): "
             f"tau_D - tau_r = {(sol.tau_D - sol.tau_r) / sol.tau_W:+.3f} tau_W"
         )
 
-    write_profile_csv(
-        outdir / "profile.csv",
-        solutions[0],
-        solutions[0].time_grid(cfg.window_tau_w, cfg.profile_points),
-    )
+    t = weak.time_grid(cfg.window_tau_w, cfg.profile_points)
+    write_profile_csv(outdir / "profile.csv", weak, t)
     return 0
 
 
@@ -190,16 +190,7 @@ def _parse_pressures(raw: str) -> list[float]:
 
 def cmd_pressure_scan(cfg: RunConfig, pressures: list[float], outdir: Path) -> int:
     cal = cfgmod.calibration(cfg)
-    scan = pressure_scan(
-        cal,
-        cfgmod.seed_pulse(cfg),
-        cfgmod.medium_template(cfg),
-        pressures,
-        dephasing=cfgmod.dephasing_parameters(cfg),
-        radius=cfgmod.radius_m(cfg),
-        validity_threshold=cfg.validity_threshold,
-        dt=cfgmod.dt_seconds(cfg),
-    )
+    scan = cfgmod.scan_pressures(cfg, pressures)
     write_scan_csv(outdir / "pressure_scan.csv", scan)
     flags = np.where(scan.valid, "", "  [dephasing margin below threshold]").tolist()
     row = "p = {:5.1f} mbar: tau_W = {:6.3f} ps, tau_D = {:6.3f} ps, margin = {:7.1f}{}".format
@@ -294,6 +285,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return cmd_validate(cfg, args.corrupt, outdir)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,7 +21,15 @@ from .constants import (
     ps_to_s,
     um_to_m,
 )
-from .pressure import DensityCalibration, DephasingParameters, calibrate_density_scale
+from .pressure import (
+    DensityCalibration,
+    DephasingParameters,
+    ScanTable,
+    calibrate_density_scale,
+    medium_at_pressure,
+    pressure_scan,
+)
+from .superradiance import SuperradianceSolution, solve_from_seed
 from .system import SeedPulse, TwoLevelMedium
 
 
@@ -152,7 +160,11 @@ def load_config(path=None, overrides: Sequence[str] = ()) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> None:
-    """Construct every derived object once so bad values fail at parse time."""
+    """Construct every derived object once so bad values fail at parse time.
+
+    A value the constructors reject, or whose arithmetic overflows or
+    divides by an underflowed zero on the way, is a ConfigError.
+    """
     if (cfg.seed_intensity_mw_cm2 is None) == (cfg.seed_e0_v_m is None):
         raise ConfigError("exactly one of seed_intensity_mw_cm2 / seed_e0_v_m is required")
     try:
@@ -160,10 +172,12 @@ def validate_config(cfg: RunConfig) -> None:
         seed_pulse(cfg)
         calibration(cfg)
         dephasing_parameters(cfg)
+    except ConfigError:
+        raise
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(str(exc)) from None
+    except ArithmeticError as exc:
+        raise ConfigError(f"the configured values leave the floating-point range: {exc}") from None
     for key in ("dt_over_tau_s", "pendulum_dt_over_tau_w", "window_tau_w",
                 "regime_span_tau_w", "fit_tol", "validity_threshold", "radius_um"):
         if not getattr(cfg, key) > 0.0:
@@ -229,12 +243,31 @@ def dephasing_parameters(cfg: RunConfig) -> DephasingParameters:
     )
 
 
-def radius_m(cfg: RunConfig) -> float:
-    return um_to_m(cfg.radius_um)
-
-
 def dt_seconds(cfg: RunConfig) -> float:
     return cfg.dt_over_tau_s * ps_to_s(cfg.tau_s_ps)
+
+
+def reference_solution(cfg: RunConfig) -> SuperradianceSolution:
+    """The burst at the anchor pressure, seeded as configured."""
+    cal = calibration(cfg)
+    return solve_from_seed(
+        seed_pulse(cfg), medium_at_pressure(cal, medium_template(cfg), cal.anchor_p),
+        dt=dt_seconds(cfg),
+    )
+
+
+def scan_pressures(cfg: RunConfig, pressures: Sequence[float]) -> ScanTable:
+    """pressure_scan over the given pressures, every other input from the config."""
+    return pressure_scan(
+        calibration(cfg),
+        seed_pulse(cfg),
+        medium_template(cfg),
+        pressures,
+        dephasing=dephasing_parameters(cfg),
+        radius=um_to_m(cfg.radius_um),
+        validity_threshold=cfg.validity_threshold,
+        dt=dt_seconds(cfg),
+    )
 
 
 def resolved_items(cfg: RunConfig) -> list[tuple[str, object]]:

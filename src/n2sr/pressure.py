@@ -240,11 +240,21 @@ def emitted_energy_integral(medium: TwoLevelMedium, theta_r: float, radius: floa
 
 def dephasing_time(p_mbar, params: DephasingParameters):
     """Collisional dephasing time 1 / (sigma f_ion n v_e) at gas pressure p,
-    elementwise for an array p."""
+    elementwise for an array p.
+
+    A collision rate that underflows to 0 raises ZeroDivisionError, for an
+    array as for a scalar, naming the lowest pressure.
+    """
     if not np.greater(p_mbar, 0.0).all():
         raise ValueError("pressure must be positive")
     n = pressure_to_number_density(mbar_to_pascal(p_mbar), params.temperature)
-    return 1.0 / (params.sigma * params.ionization_fraction * n * params.v_e)
+    rate = params.sigma * params.ionization_fraction * n * params.v_e
+    if not np.greater(rate, 0.0).all():
+        raise ZeroDivisionError(
+            "the collision rate sigma f_ion n v_e underflows to 0 "
+            f"at p = {float(np.min(p_mbar))!r} mbar"
+        )
+    return 1.0 / rate
 
 
 def superradiance_valid(tau_2, tau_w, tau_d, threshold: float = 10.0, p_mbar=None) -> ValidityCheck:

@@ -18,7 +18,6 @@ import numpy as np
 
 from .constants import ps_to_s, s_to_ps
 from .csvio import write_columns
-from .superradiance import SuperradianceSolution
 
 __all__ = [
     "NotAPulseError",
@@ -26,7 +25,6 @@ __all__ = [
     "TemporalTrace",
     "SechFit",
     "PulseSummary",
-    "ProfileComparison",
     "SECH2_FWHM_EXACT",
     "SECH2_FWHM_NOMINAL",
     "sech2_profile",
@@ -35,7 +33,6 @@ __all__ = [
     "extract_peak_delay",
     "tau_w_from_fwhm",
     "fit_sech2",
-    "compare_profile",
     "summarize_by_pressure",
     "read_trace_csv",
     "write_trace_csv",
@@ -113,21 +110,15 @@ class PulseSummary:
     tau_d: float   # s
 
 
-@dataclass(frozen=True)
-class ProfileComparison:
-    """Peak-normalized measured and predicted profiles on the trace's grid."""
-
-    t: np.ndarray
-    measured: np.ndarray
-    predicted: np.ndarray
-    residual: np.ndarray
-    rms_main_lobe: float  # RMS residual within |t - tau_D| <= 2 tau_W
-
-
 def sech2_profile(t, amplitude: float, tau_d: float, tau_w: float):
-    """Model profile A sech^2((t - tau_D)/tau_W); scalars or arrays."""
+    """Model profile A sech^2((t - tau_D)/tau_W); scalars or arrays.
+
+    Far from tau_D, cosh or its square overflows and the profile saturates
+    to its limit 0; that overflow is expected and not reported.
+    """
     x = (np.asarray(t, dtype=float) - tau_d) / tau_w
-    return amplitude / np.cosh(x) ** 2
+    with np.errstate(over="ignore"):
+        return amplitude / np.cosh(x) ** 2
 
 
 def synthesize_sech2_trace(
@@ -303,26 +294,6 @@ def fit_sech2(
         tau_W=float(p[2]),
         rms_residual=float(np.sqrt(np.mean(r**2))),
         converged=converged,
-    )
-
-
-def compare_profile(trace: TemporalTrace, sol: SuperradianceSolution) -> ProfileComparison:
-    """Overlay a measured trace and a predicted burst, both peak-normalized.
-
-    The summary statistic is the RMS residual inside the main lobe
-    |t - tau_D| <= 2 tau_W, so structure outside the lobe (revivals, late
-    bumps) does not affect it. Raises if the trace does not sample the lobe.
-    """
-    lobe = np.abs(trace.t - sol.tau_D) <= 2.0 * sol.tau_W
-    if not np.any(lobe):
-        raise ValueError("trace does not overlap the main emission lobe")
-    measured = trace.intensity / trace.intensity.max()
-    x = (trace.t - sol.tau_D) / sol.tau_W
-    predicted = 1.0 / np.cosh(x) ** 2
-    residual = measured - predicted
-    rms = float(np.sqrt(np.mean(residual[lobe] ** 2)))
-    return ProfileComparison(
-        t=trace.t, measured=measured, predicted=predicted, residual=residual, rms_main_lobe=rms
     )
 
 

@@ -30,6 +30,7 @@ from .bloch import bloch_angle
 from .constants import CONSTANTS, s_to_ps
 from .csvio import write_columns
 from .errors import NumericalError
+from .profiles import sech2_profile
 from .system import SeedPulse, TwoLevelMedium
 
 __all__ = [
@@ -39,7 +40,6 @@ __all__ = [
     "characteristic_duration",
     "spontaneous_decay_time",
     "time_delay",
-    "superradiant_bloch_angle",
     "SuperradianceSolution",
     "solve_after_seed",
     "solve_from_seed",
@@ -143,20 +143,6 @@ def time_delay(medium: TwoLevelMedium, theta_r: float, tau_r: float, N=None):
     return tau_r - _branch(medium.w0) * tau_w * log_tan
 
 
-def superradiant_bloch_angle(t, tau_d: float, tau_w: float):
-    """Pendulum solution theta(t) = 2 arctan(exp((t - tau_D)/tau_W)) for w0 > 0.
-
-    Runs from 0 at t -> -inf to pi at t -> +inf, passing pi/2 at tau_D.
-    Accepts scalars or arrays.
-    """
-    if not tau_w > 0.0:
-        raise ValueError("tau_W must be positive")
-    # exp overflow far past tau_D saturates to arctan(inf) = pi/2, which is
-    # exactly the limit we want, so the warning carries no information.
-    with np.errstate(over="ignore"):
-        return 2.0 * np.arctan(np.exp((np.asarray(t, dtype=float) - tau_d) / tau_w))
-
-
 @dataclass(frozen=True)
 class SuperradianceSolution:
     """Closed-form description of one burst, frozen after construction."""
@@ -182,8 +168,11 @@ class SuperradianceSolution:
         return _branch(self.medium.w0) * (np.asarray(t, dtype=float) - self.tau_D) / self.tau_W
 
     def bloch_angle(self, t):
-        """theta(t) on this solution's branch."""
-        return 2.0 * np.arctan(np.exp(self._x(t)))
+        """theta(t) on this solution's branch; pi/2 at tau_D."""
+        # exp overflow far past tau_D saturates to arctan(inf) = pi/2, which is
+        # exactly the limit we want, so the warning carries no information.
+        with np.errstate(over="ignore"):
+            return 2.0 * np.arctan(np.exp(self._x(t)))
 
     def population_difference(self, t):
         """w(t) = w0 cos theta(t) = -|w0| tanh((t - tau_D)/tau_W)."""
@@ -253,8 +242,7 @@ def energy_density(t, sol: SuperradianceSolution):
 
 def emitted_power_density(t, sol: SuperradianceSolution):
     """Radiated power per volume, P0 sech^2((t - tau_D)/tau_W). W/m^3."""
-    x = (np.asarray(t, dtype=float) - sol.tau_D) / sol.tau_W
-    return sol.P0 / np.cosh(x) ** 2
+    return sech2_profile(t, sol.P0, sol.tau_D, sol.tau_W)
 
 
 def emitted_intensity(t, sol: SuperradianceSolution):
@@ -268,7 +256,9 @@ def emitted_field_envelope(t, sol: SuperradianceSolution):
     k = CONSTANTS
     amp = 0.5 * k.mu0 * m.omega * k.c * m.mu * abs(m.w0) * m.N * m.L
     x = (np.asarray(t, dtype=float) - sol.tau_D) / sol.tau_W
-    return amp / np.cosh(x)
+    # cosh overflow far from tau_D saturates the field to its limit 0.
+    with np.errstate(over="ignore"):
+        return amp / np.cosh(x)
 
 
 def integrate_pendulum(

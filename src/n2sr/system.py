@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
@@ -19,10 +18,6 @@ from .constants import (
 # Field envelope exp(-2 ln2 ((t - tau_s)/tau_s)^2): the squared (intensity)
 # envelope then has FWHM equal to tau_s.
 _GAUSS_COEFF = 2.0 * math.log(2.0)
-
-
-class EnvelopeShape(Enum):
-    GAUSSIAN = "gaussian"
 
 
 @dataclass(frozen=True)
@@ -86,7 +81,6 @@ class SeedPulse:
     E0: float      # peak field amplitude, V/m
     tau_s: float   # seed intensity FWHM, s
     tau_r: float   # end of the seed stage, s
-    envelope: EnvelopeShape = EnvelopeShape.GAUSSIAN
 
     def __post_init__(self) -> None:
         if self.E0 < 0.0:

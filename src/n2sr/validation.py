@@ -14,17 +14,12 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import config as cfgmod
-from .bloch import analytic_seed_solution, bloch_angle, integrate_bloch_rwa
+from .bloch import analytic_seed_solution, integrate_bloch_rwa
 from .constants import CONSTANTS, mw_per_cm2_to_w_per_m2, s_to_ps
-from .pressure import (
-    dephasing_time,
-    medium_at_pressure,
-    pressure_scan,
-    superradiance_valid,
-)
+from .pressure import dephasing_time, superradiance_valid
 from .profiles import SECH2_FWHM_EXACT, TemporalTrace, extract_fwhm
 from .superradiance import (
-    characteristic_duration,
+    SuperradianceSolution,
     emitted_intensity,
     emitted_power_density,
     energy_density,
@@ -108,44 +103,31 @@ def _check_bloch(cfg) -> tuple[CheckResult, CheckResult]:
     return conservation, closed_form
 
 
-def _check_pendulum(cfg) -> CheckResult:
-    seed = cfgmod.seed_pulse(cfg)
-    cal = cfgmod.calibration(cfg)
-    medium = medium_at_pressure(cal, cfgmod.medium_template(cfg), cal.anchor_p)
-    theta_weak = bloch_angle(seed, medium, seed.tau_r, dt=cfgmod.dt_seconds(cfg))
+def _check_pendulum(cfg, sol: SuperradianceSolution) -> CheckResult:
+    medium, tau_r = sol.medium, sol.tau_r
     worst = 0.0
     cases = [
-        (medium, theta_weak),
+        (medium, sol.theta_r),
         (medium, 0.3 * math.pi),
         (medium, cfg.theta_strong_over_pi * math.pi),
         (dataclasses.replace(medium, w0=-medium.w0), cfg.theta_strong_over_pi * math.pi),
     ]
     for m, theta_r in cases:
-        sol = solve_after_seed(m, theta_r, seed.tau_r)
-        dt = cfg.pendulum_dt_over_tau_w * sol.tau_W
-        t_end = seed.tau_r + cfgmod.PENDULUM_SPAN_TAU_W * sol.tau_W
-        t, theta = integrate_pendulum(theta_r, seed.tau_r, m, t_end, dt)
-        worst = max(worst, float(np.max(np.abs(theta - sol.bloch_angle(t)))))
+        case = solve_after_seed(m, theta_r, tau_r)
+        dt = cfg.pendulum_dt_over_tau_w * case.tau_W
+        t_end = tau_r + cfgmod.PENDULUM_SPAN_TAU_W * case.tau_W
+        t, theta = integrate_pendulum(theta_r, tau_r, m, t_end, dt)
+        worst = max(worst, float(np.max(np.abs(theta - case.bloch_angle(t)))))
     return CheckResult("pendulum-closed-form", worst <= 1e-7, f"max |ode - closed form| = {worst:.3e} rad")
 
 
-def _reference_solution(cfg):
-    seed = cfgmod.seed_pulse(cfg)
-    cal = cfgmod.calibration(cfg)
-    medium = medium_at_pressure(cal, cfgmod.medium_template(cfg), cal.anchor_p)
-    theta_r = bloch_angle(seed, medium, seed.tau_r, dt=cfgmod.dt_seconds(cfg))
-    return solve_after_seed(medium, theta_r, seed.tau_r)
-
-
-def _check_intensity_identity(cfg) -> CheckResult:
-    sol = _reference_solution(cfg)
+def _check_intensity_identity(sol: SuperradianceSolution) -> CheckResult:
     t = sol.time_grid(window_tau_w=5.0, n=501)
     exact = np.all(emitted_intensity(t, sol) == emitted_power_density(t, sol) * sol.medium.L)
     return CheckResult("intensity-power-identity", bool(exact), "I_s == P_s * L on every sample")
 
 
-def _check_energy_bookkeeping(cfg) -> CheckResult:
-    sol = _reference_solution(cfg)
+def _check_energy_bookkeeping(sol: SuperradianceSolution) -> CheckResult:
     n = 20000
     t = sol.time_grid(window_tau_w=20.0, n=n + 1)
     p = emitted_power_density(t, sol)
@@ -165,8 +147,7 @@ def _check_energy_bookkeeping(cfg) -> CheckResult:
     )
 
 
-def _check_width_rule(cfg) -> CheckResult:
-    sol = _reference_solution(cfg)
+def _check_width_rule(sol: SuperradianceSolution) -> CheckResult:
     t = sol.time_grid(window_tau_w=5.0, n=2001)  # spacing tau_W / 200
     trace = TemporalTrace(t=t, intensity=np.asarray(emitted_intensity(t, sol)))
     ratio = extract_fwhm(trace) / sol.tau_W
@@ -174,24 +155,11 @@ def _check_width_rule(cfg) -> CheckResult:
     return CheckResult("sech2-width-rule", rel <= 1e-3, f"FWHM/tau_W = {ratio:.6f}")
 
 
-def _check_calibration_roundtrip(cfg) -> CheckResult:
+def _check_calibration_roundtrip(cfg, sol: SuperradianceSolution) -> CheckResult:
+    """tau_W of the reference burst, at the calibrated anchor density, is the anchor's."""
     cal = cfgmod.calibration(cfg)
-    medium = medium_at_pressure(cal, cfgmod.medium_template(cfg), cal.anchor_p)
-    rel = abs(characteristic_duration(medium) - cal.anchor_tau_w) / cal.anchor_tau_w
+    rel = abs(sol.tau_W - cal.anchor_tau_w) / cal.anchor_tau_w
     return CheckResult("calibration-roundtrip", rel <= 1e-10, f"relative defect {rel:.3e}")
-
-
-def _default_scan(cfg):
-    return pressure_scan(
-        cfgmod.calibration(cfg),
-        cfgmod.seed_pulse(cfg),
-        cfgmod.medium_template(cfg),
-        DEFAULT_SCAN_PRESSURES,
-        dephasing=cfgmod.dephasing_parameters(cfg),
-        radius=cfgmod.radius_m(cfg),
-        validity_threshold=cfg.validity_threshold,
-        dt=cfgmod.dt_seconds(cfg),
-    )
 
 
 def _check_scan_scaling(cfg, scan) -> CheckResult:
@@ -208,7 +176,7 @@ def _check_scan_scaling(cfg, scan) -> CheckResult:
     )
 
 
-def _check_dephasing(cfg, scan) -> CheckResult:
+def _check_dephasing(cfg, scan, sol: SuperradianceSolution) -> CheckResult:
     """tau_2 is 1/p and the scan's dephasing column is dephasing_time itself.
 
     Both hold for every valid config; the published 207 ps at 20 mbar is a
@@ -224,7 +192,6 @@ def _check_dephasing(cfg, scan) -> CheckResult:
         for p_mbar, tau_2 in zip(DEFAULT_SCAN_PRESSURES, scan.dephasing.tolist())
     )
 
-    sol = _reference_solution(cfg)
     cal = cfgmod.calibration(cfg)
     check = superradiance_valid(
         dephasing_time(cal.anchor_p, params), sol.tau_W, sol.tau_D, threshold=cfg.validity_threshold
@@ -241,17 +208,18 @@ def run_validation_checks(cfg, corrupt: Optional[str] = None) -> list[CheckResul
     if corrupt is not None and corrupt not in _CORRUPTIBLE:
         raise ValueError(f"corruptible constants are {', '.join(_CORRUPTIBLE)}")
     conservation, closed_form = _check_bloch(cfg)
-    scan = _default_scan(cfg)
+    scan = cfgmod.scan_pressures(cfg, DEFAULT_SCAN_PRESSURES)
+    sol = cfgmod.reference_solution(cfg)
     return [
         _check_constants_product(corrupt),
         _check_seed_roundtrip(cfg),
         conservation,
         closed_form,
-        _check_pendulum(cfg),
-        _check_intensity_identity(cfg),
-        _check_energy_bookkeeping(cfg),
-        _check_width_rule(cfg),
-        _check_calibration_roundtrip(cfg),
+        _check_pendulum(cfg, sol),
+        _check_intensity_identity(sol),
+        _check_energy_bookkeeping(sol),
+        _check_width_rule(sol),
+        _check_calibration_roundtrip(cfg, sol),
         _check_scan_scaling(cfg, scan),
-        _check_dephasing(cfg, scan),
+        _check_dephasing(cfg, scan, sol),
     ]

@@ -30,7 +30,6 @@ from n2sr.superradiance import (
     energy_density,
     integrate_pendulum,
     solve_after_seed,
-    superradiant_bloch_angle,
     time_delay,
 )
 
@@ -75,11 +74,11 @@ def test_criterion_03_pendulum_oracle(capsys, seed, anchor_medium):
     tau_w = characteristic_duration(anchor_medium)
     worst = 0.0
     for theta_r in (0.057 * math.pi, 0.3 * math.pi, 0.6 * math.pi):
-        tau_d = time_delay(anchor_medium, theta_r, seed.tau_r)
+        sol = solve_after_seed(anchor_medium, theta_r, seed.tau_r)
         t, theta = integrate_pendulum(
             theta_r, seed.tau_r, anchor_medium, seed.tau_r + 10.0 * tau_w, dt=1e-3 * tau_w
         )
-        worst = max(worst, float(np.abs(theta - superradiant_bloch_angle(t, tau_d, tau_w)).max()))
+        worst = max(worst, float(np.abs(theta - sol.bloch_angle(t)).max()))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-7 and elapsed < 1.0
     assert report(capsys, 3, "pendulum integrator matches closed form", ok), (

@@ -4,15 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from n2sr.bloch import (
-    BlochState,
     BlochTrajectory,
     analytic_seed_solution,
     bloch_angle,
-    coherence_amplitudes,
     integrate_bloch_rwa,
     rabi_frequency_peak,
 )
@@ -207,15 +203,3 @@ def test_trajectory_csv(tmp_path, seed, template):
     assert float(last[0]) == pytest.approx(traj.t[-1] * 1e12, rel=1e-15)
     assert float(last[3]) == pytest.approx(traj.w[-1], rel=1e-15)
 
-
-@given(
-    st.floats(min_value=-1.0, max_value=1.0),
-    st.floats(min_value=-1.0, max_value=1.0),
-)
-def test_coherences_are_hermitian(u, v):
-    state = BlochState(t=0.0, u=u, v=v, w=0.0)
-    rho21, rho12 = coherence_amplitudes(state)
-    assert rho12 == rho21.conjugate()
-    # u and v reconstruct from the pair
-    assert (rho21 + rho12).real == pytest.approx(u, abs=1e-15)
-    assert (1j * (rho21 - rho12)).real == pytest.approx(v, abs=1e-15)

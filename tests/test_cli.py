@@ -110,6 +110,24 @@ class TestRegimes:
         assert all(a < b for a, b in zip(theta, theta[1:]))
         assert theta[0] < 0.5 * math.pi < theta[-1]
 
+    def test_zero_seed_message(self, tmp_path, capsys):
+        assert main(["regimes", "--set", "seed_intensity_mw_cm2=0", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: the configured seed tips the Bloch vector to 0.0000 rad; "
+            "the weak-seed panels need theta_r in (0, pi/2)\n"
+        )
+
+    def test_far_tails_run_quietly(self, tmp_path, capsys):
+        """Overflow far from tau_D saturates theta to pi and sech^2 to 0 without a warning."""
+        args = ["--set", "window_tau_w=400", "--set", "regime_span_tau_w=1000"]
+        assert main(["regimes", *args, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        cols = read_csv(tmp_path / "regime1.csv")
+        assert floats(cols, "P_over_P0")[-1] == 0.0
+        assert floats(cols, "theta_rad")[-1] == math.pi
+        profile = read_csv(tmp_path / "profile.csv")
+        assert floats(profile, "power_W_m3")[0] == floats(profile, "power_W_m3")[-1] == 0.0
+
     def test_too_strong_seed_rejected(self, tmp_path):
         code = main(
             [
@@ -281,6 +299,32 @@ class TestValidate:
 
     def test_unknown_corrupt_name_exits_1(self, tmp_path):
         assert main(["validate", "--corrupt", "bogus", "--out", str(tmp_path)]) == 1
+
+
+class TestArithmeticFailures:
+    """Arithmetic that leaves the float range exits 1 at parse time, else 2."""
+
+    def test_underflow_at_parse_time_exits_1(self, tmp_path, capsys):
+        assert main(["validate", "--set", "lambda_nm=1e300", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: the configured values leave the floating-point range: float division by zero\n"
+        )
+
+    @pytest.mark.parametrize("command", ["pressure-scan", "validate"])
+    def test_overflowing_radius_exits_2(self, tmp_path, capsys, command):
+        assert main([command, "--set", "radius_um=1e200", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: OverflowError: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["pressure-scan", "validate"])
+    def test_underflowing_collision_rate_exits_2(self, tmp_path, capsys, command):
+        args = ["--set", "sigma_cm2=1e-300", "--set", "ionization_fraction=1e-300"]
+        assert main([command, *args, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: ZeroDivisionError: the collision rate sigma f_ion n v_e "
+            "underflows to 0 at p = 6.0 mbar\n"
+        )
 
 
 class TestUsageErrors:

@@ -8,13 +8,20 @@ from n2sr.config import (
     PENDULUM_SPAN_TAU_W,
     ConfigError,
     RunConfig,
+    calibration,
+    dephasing_parameters,
     dt_seconds,
     load_config,
     medium_template,
+    reference_solution,
     resolved_items,
+    scan_pressures,
     seed_pulse,
     validate_config,
 )
+from n2sr.bloch import bloch_angle
+from n2sr.constants import ps_to_s, um_to_m
+from n2sr.pressure import pressure_scan
 
 
 def test_defaults_are_valid():
@@ -163,6 +170,33 @@ class TestGridCap:
     def test_absurd_grid_is_rejected(self):
         with pytest.raises(ConfigError, match="regime_points"):
             load_config(overrides=["regime_points=10000000000000"])
+
+
+def test_out_of_range_arithmetic_is_a_config_error():
+    """tau_W's inversion at the anchor divides by an underflowed zero."""
+    with pytest.raises(ConfigError, match="leave the floating-point range: float division by zero"):
+        load_config(overrides=["lambda_nm=1e300"])
+
+
+def test_reference_solution_is_the_anchor_burst(cfg, seed, anchor_medium):
+    sol = reference_solution(cfg)
+    assert sol.medium == anchor_medium
+    assert sol.tau_r == seed.tau_r
+    assert sol.theta_r == bloch_angle(seed, anchor_medium, seed.tau_r, dt=dt_seconds(cfg))
+    assert sol.tau_W == pytest.approx(ps_to_s(cfg.anchor_tau_w_ps), rel=1e-12)
+
+
+def test_scan_pressures_uses_the_configured_radius():
+    """50 um is um_to_m(50.0), not pressure_scan's 50e-6 default."""
+    cfg = RunConfig()
+    scan = scan_pressures(cfg, [8.0])
+    direct = pressure_scan(
+        calibration(cfg), seed_pulse(cfg), medium_template(cfg), [8.0],
+        dephasing=dephasing_parameters(cfg), radius=um_to_m(cfg.radius_um),
+        validity_threshold=cfg.validity_threshold, dt=dt_seconds(cfg),
+    )
+    assert scan.E_total.tolist() == direct.E_total.tolist()
+    assert scan.theta_r == direct.theta_r
 
 
 def test_derived_builders():

@@ -135,6 +135,15 @@ class TestDephasing:
             2.0 * dephasing_time(20.0, dephasing), rel=1e-15
         )
 
+    def test_underflowing_collision_rate_raises(self, dephasing):
+        """A rate that underflows to 0 raises the same error for a scalar and an array."""
+        tiny = dataclasses.replace(dephasing, sigma=1e-304, ionization_fraction=1e-300)
+        message = r"collision rate sigma f_ion n v_e underflows to 0 at p = 6\.0 mbar"
+        with pytest.raises(ZeroDivisionError, match=message):
+            dephasing_time(6.0, tiny)
+        with pytest.raises(ZeroDivisionError, match=message):
+            dephasing_time(np.array([8.0, 6.0, 20.0]), tiny)
+
     def test_validity_margin_definition(self):
         check = superradiance_valid(200e-12, ps_to_s(1.666), ps_to_s(6.287))
         assert check.margin == pytest.approx(61.7974801879895, rel=1e-12)

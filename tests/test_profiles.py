@@ -1,4 +1,4 @@
-"""Trace analysis: width/delay extraction, sech^2 fitting, overlays."""
+"""Trace analysis: width/delay extraction, sech^2 fitting, trace CSV I/O."""
 
 import math
 import re
@@ -16,7 +16,6 @@ from n2sr.profiles import (
     SechFit,
     TemporalTrace,
     TraceFormatError,
-    compare_profile,
     extract_fwhm,
     extract_peak_delay,
     fit_sech2,
@@ -231,50 +230,6 @@ class TestFit:
             SechFit(amplitude=1.0, tau_D=0.0, tau_W=0.0, rms_residual=0.0, converged=False)
         with pytest.raises(ValueError):
             SechFit(amplitude=0.0, tau_D=0.0, tau_W=1e-12, rms_residual=0.0, converged=True)
-
-
-@pytest.fixture(scope="module")
-def sol(anchor_medium):
-    from n2sr.superradiance import solve_after_seed
-
-    return solve_after_seed(anchor_medium, 0.17392466546264773, 3.6 * 0.26e-12)
-
-
-class TestCompareProfile:
-    def test_self_comparison(self, sol):
-        from n2sr.superradiance import emitted_intensity
-
-        t = np.linspace(sol.tau_D - 4.0 * sol.tau_W, sol.tau_D + 4.0 * sol.tau_W, 801)
-        tr = TemporalTrace(t=t, intensity=emitted_intensity(t, sol))
-        cmp = compare_profile(tr, sol)
-        assert cmp.rms_main_lobe <= 1e-10
-        assert cmp.measured.max() == 1.0
-
-    def test_late_bump_outside_lobe_ignored(self, sol):
-        """Structure past the main lobe must not move the lobe RMS."""
-        from n2sr.superradiance import emitted_intensity
-
-        t = np.linspace(sol.tau_D - 4.0 * sol.tau_W, sol.tau_D + 4.0 * sol.tau_W, 2001)
-        clean = emitted_intensity(t, sol)
-        bump_center = sol.tau_D + 3.0 * sol.tau_W
-        assert bump_center > sol.tau_D + 2.0 * sol.tau_W  # bump is outside the lobe
-        bump = 0.3 * clean.max() * np.exp(-((t - bump_center) / ps_to_s(0.1)) ** 2)
-        cmp = compare_profile(TemporalTrace(t=t, intensity=clean + bump), sol)
-        assert cmp.rms_main_lobe <= 1e-10
-
-    def test_asymmetry_is_reported(self, sol):
-        from n2sr.superradiance import emitted_intensity
-
-        t = np.linspace(sol.tau_D - 4.0 * sol.tau_W, sol.tau_D + 4.0 * sol.tau_W, 801)
-        skew = 1.0 + 0.3 * np.tanh((t - sol.tau_D) / sol.tau_W)
-        tr = TemporalTrace(t=t, intensity=emitted_intensity(t, sol) * skew)
-        assert compare_profile(tr, sol).rms_main_lobe > 1e-3
-
-    def test_disjoint_support_rejected(self, sol):
-        t = np.linspace(sol.tau_D + 10.0 * sol.tau_W, sol.tau_D + 20.0 * sol.tau_W, 64)
-        tr = TemporalTrace(t=t, intensity=np.exp(-((t - t.mean()) / sol.tau_W) ** 2))
-        with pytest.raises(ValueError):
-            compare_profile(tr, sol)
 
 
 class TestSummaries:

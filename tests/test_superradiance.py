@@ -26,7 +26,6 @@ from n2sr.superradiance import (
     solve_after_seed,
     solve_from_seed,
     spontaneous_decay_time,
-    superradiant_bloch_angle,
     time_delay,
     write_profile_csv,
 )
@@ -162,29 +161,33 @@ class TestRegimes:
 
 
 class TestBlochAngleClosedForm:
-    def test_midpoint_is_quarter_turn(self):
-        assert superradiant_bloch_angle(5e-12, 5e-12, 1e-12) == 0.5 * math.pi
+    """SuperradianceSolution.bloch_angle is 2 arctan(exp((t - tau_D)/tau_W)) for w0 > 0."""
 
-    def test_one_width_past_midpoint(self):
+    @staticmethod
+    def angle(sol8, t, tau_d, tau_w):
+        return dataclasses.replace(sol8, tau_D=tau_d, tau_W=tau_w).bloch_angle(t)
+
+    def test_midpoint_is_quarter_turn(self, sol8):
+        assert self.angle(sol8, 5e-12, 5e-12, 1e-12) == 0.5 * math.pi
+
+    def test_one_width_past_midpoint(self, sol8):
         # theta(tau_D + tau_W) = 2 arctan(e)
-        got = superradiant_bloch_angle(6e-12, 5e-12, 1e-12)
+        got = self.angle(sol8, 6e-12, 5e-12, 1e-12)
         assert got == pytest.approx(2.0 * math.atan(math.e), rel=1e-15)
         assert got == pytest.approx(2.4365658100345553, rel=1e-15)
 
-    def test_limits(self):
-        assert superradiant_bloch_angle(-1e-9, 0.0, 1e-12) == pytest.approx(0.0, abs=1e-12)
-        assert superradiant_bloch_angle(1e-9, 0.0, 1e-12) == pytest.approx(math.pi, abs=1e-12)
+    def test_limits(self, sol8):
+        assert self.angle(sol8, -1e-9, 0.0, 1e-12) == pytest.approx(0.0, abs=1e-12)
+        assert self.angle(sol8, 1e-9, 0.0, 1e-12) == pytest.approx(math.pi, abs=1e-12)
 
     @given(st.floats(min_value=-15.0, max_value=15.0), st.floats(min_value=-15.0, max_value=15.0))
-    def test_strictly_increasing(self, x1, x2):
+    def test_strictly_increasing(self, sol8, x1, x2):
         t1, t2 = sorted((x1, x2))
         # sech(15) ~ 6e-7, so a 1e-6 gap still moves theta by well over an ulp
         if t2 - t1 < 1e-6:
             return
         tau_w = 1e-12
-        assert superradiant_bloch_angle(t1 * tau_w, 0.0, tau_w) < superradiant_bloch_angle(
-            t2 * tau_w, 0.0, tau_w
-        )
+        assert self.angle(sol8, t1 * tau_w, 0.0, tau_w) < self.angle(sol8, t2 * tau_w, 0.0, tau_w)
 
 
 class TestSolution:
@@ -249,6 +252,13 @@ class TestEmission:
             p = emitted_power_density(sol8.tau_D + sign * x_half * sol8.tau_W, sol8)
             assert p == pytest.approx(0.5 * sol8.P0, rel=1e-6)
 
+    def test_far_tails_saturate_quietly(self, sol8):
+        """exp, cosh and the square overflow 1000 tau_W out; the limits come back, unwarned."""
+        t = sol8.tau_D + np.array([-1000.0, 1000.0]) * sol8.tau_W
+        assert sol8.bloch_angle(t).tolist() == [0.0, math.pi]
+        assert emitted_power_density(t, sol8).tolist() == [0.0, 0.0]
+        assert emitted_field_envelope(t, sol8).tolist() == [0.0, 0.0]
+
     def test_intensity_is_power_times_length(self, sol8, anchor_medium):
         t = sol8.time_grid(n=101)
         assert np.all(
@@ -310,12 +320,12 @@ class TestEmission:
 class TestPendulum:
     @pytest.mark.parametrize("theta_r", [0.057 * math.pi, 0.3 * math.pi, 0.6 * math.pi])
     def test_matches_closed_form(self, anchor_medium, theta_r):
-        tau_w = characteristic_duration(anchor_medium)
-        tau_d = time_delay(anchor_medium, theta_r, TAU_R)
+        sol = solve_after_seed(anchor_medium, theta_r, TAU_R)
+        tau_w = sol.tau_W
         t, theta = integrate_pendulum(
             theta_r, TAU_R, anchor_medium, TAU_R + 10.0 * tau_w, dt=1e-3 * tau_w
         )
-        assert np.abs(theta - superradiant_bloch_angle(t, tau_d, tau_w)).max() <= 1e-7
+        assert np.abs(theta - sol.bloch_angle(t)).max() <= 1e-7
 
     def test_crosses_quarter_turn_at_tau_d(self, anchor_medium):
         """The integrated angle passes pi/2 within one step of time_delay."""

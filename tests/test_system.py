@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from n2sr.system import (
-    EnvelopeShape,
     SeedPulse,
     TwoLevelMedium,
     intensity_from_peak_field,
@@ -58,7 +57,6 @@ class TestSeedPulse:
         assert seed.E0 == pytest.approx(8680210.98438131, rel=1e-12)
         assert seed.tau_s == 0.26e-12
         assert seed.tau_r == pytest.approx(3.6 * 0.26e-12, rel=1e-15)
-        assert seed.envelope is EnvelopeShape.GAUSSIAN
 
     def test_zero_field_allowed(self):
         p = SeedPulse(E0=0.0, tau_s=1e-13, tau_r=3.6e-13)

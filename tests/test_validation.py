@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from n2sr import validation
+from n2sr import config, validation
 from n2sr.validation import run_validation_checks
 
 EXPECTED_CHECKS = [
@@ -69,20 +69,25 @@ def test_seed_roundtrip_uses_configured_seed(cfg, monkeypatch, seed, first_call)
     assert calls[0][1] == pytest.approx(first_call[1], rel=1e-15)
 
 
+def check_dephasing(cfg, scan=None):
+    if scan is None:
+        scan = config.scan_pressures(cfg, validation.DEFAULT_SCAN_PRESSURES)
+    return validation._check_dephasing(cfg, scan, config.reference_solution(cfg))
+
+
 class TestDephasingWindow:
     """The runtime check tests invariants, not the default 207 ps."""
 
     def test_passes_off_default(self, cfg):
         for sigma in (2e-15, 3e-16):
-            other = dataclasses.replace(cfg, sigma_cm2=sigma)
-            result = validation._check_dephasing(other, validation._default_scan(other))
+            result = check_dephasing(dataclasses.replace(cfg, sigma_cm2=sigma))
             assert result.passed, result.detail
 
     def test_detail_text(self, cfg):
-        result = validation._check_dephasing(cfg, validation._default_scan(cfg))
+        result = check_dephasing(cfg)
         assert result.detail == "tau_2(20 mbar) = 207.1 ps, anchor margin = 179.4"
 
     def test_scan_column_must_be_dephasing_time(self, cfg):
-        scan = validation._default_scan(cfg)
+        scan = config.scan_pressures(cfg, validation.DEFAULT_SCAN_PRESSURES)
         off = dataclasses.replace(scan, dephasing=scan.dephasing * (1.0 + 2.0**-52))
-        assert not validation._check_dephasing(cfg, off).passed
+        assert not check_dephasing(cfg, off).passed
