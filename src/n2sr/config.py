@@ -75,7 +75,7 @@ class RunConfig:
     ionization_fraction: float = 0.1
     # numerics
     dt_over_tau_s: float = 5e-4
-    pendulum_dt_over_tau_w: float = 1e-3
+    pendulum_dt_over_tau_w: float = 1e-2
     window_tau_w: float = 20.0
     profile_points: int = 2001
     regime_span_tau_w: float = 10.0
@@ -184,7 +184,8 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError(f"config key '{key}' must be positive")
     for key, steps in (
         ("dt_over_tau_s", cfg.tau_r_over_tau_s / cfg.dt_over_tau_s),
-        ("pendulum_dt_over_tau_w", PENDULUM_SPAN_TAU_W / cfg.pendulum_dt_over_tau_w),
+        # The pendulum oracle's largest run is its h/2 one.
+        ("pendulum_dt_over_tau_w", 2.0 * PENDULUM_SPAN_TAU_W / cfg.pendulum_dt_over_tau_w),
     ):
         if steps > MAX_RK4_STEPS:
             raise ConfigError(

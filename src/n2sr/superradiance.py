@@ -204,11 +204,25 @@ def peak_intensity(medium: TwoLevelMedium, N=None):
 
 
 def solve_after_seed(medium: TwoLevelMedium, theta_r: float, tau_r: float) -> SuperradianceSolution:
-    """Build the burst solution from the handover state (theta_r at tau_r)."""
+    """Build the burst solution from the handover state (theta_r at tau_r).
+
+    P0 and I0 are positive for every medium that can superradiate, so a
+    value of 0 or inf means the peak left the floating-point range: that
+    raises NumericalError rather than hand on a burst with no signal.
+    """
     regime = classify_regime(medium.w0, theta_r)
     tau_w = characteristic_duration(medium)
     tau_d = time_delay(medium, theta_r, tau_r)
-    p0 = peak_power_density(medium)
+    try:
+        p0 = peak_power_density(medium)
+    except OverflowError:  # N**2 of a Python float raises where N * N gives inf
+        p0 = math.inf
+    i0 = p0 * medium.L
+    if not (0.0 < p0 < math.inf and 0.0 < i0 < math.inf):
+        raise NumericalError(
+            f"burst peak P0 = {p0:.3e} W/m^3 (I0 = {i0:.3e} W/m^2) "
+            "left the floating-point range"
+        )
     return SuperradianceSolution(
         medium=medium,
         theta_r=theta_r,
@@ -216,7 +230,7 @@ def solve_after_seed(medium: TwoLevelMedium, theta_r: float, tau_r: float) -> Su
         tau_W=tau_w,
         tau_D=tau_d,
         P0=p0,
-        I0=p0 * medium.L,
+        I0=i0,
         regime=regime,
     )
 

@@ -1,6 +1,7 @@
 """End-to-end command tests driving main() in-process."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -292,6 +293,12 @@ class TestValidate:
         assert main(["validate", "--set", "sigma_cm2=2e-15", "--out", str(tmp_path)]) == 0
         assert "PASS  dephasing-window: tau_2(20 mbar) = 103.5 ps" in capsys.readouterr().out
 
+    def test_seed_past_quarter_turn_passes(self, tmp_path, capsys):
+        """theta_r > pi/2 makes tau_D rise with p; scan-scaling holds all the same."""
+        assert main(["validate", "--set", "dipole_debye=16.84", "--out", str(tmp_path)]) == 0
+        report = capsys.readouterr().out.splitlines()[:-1]
+        assert len(report) == 11 and all(line.startswith("PASS") for line in report)
+
     def test_absorbing_medium_exits_1(self, tmp_path, capsys):
         assert main(["validate", "--set", "w0=-0.1", "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
@@ -316,6 +323,16 @@ class TestArithmeticFailures:
         assert main([command, "--set", "radius_um=1e200", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: OverflowError: ") and err.count("\n") == 1
+
+    def test_underflowing_burst_peak_exits_2(self, tmp_path, capsys):
+        """P0 ~ N^2 L underflows to 0 before any check reads the burst."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["validate", "--set", "length_mm=1e300", "--out", str(tmp_path)])
+        assert code == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: burst peak P0 = 0.000e+00") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["pressure-scan", "validate"])
     def test_underflowing_collision_rate_exits_2(self, tmp_path, capsys, command):

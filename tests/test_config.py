@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +33,12 @@ def test_defaults_are_valid():
     assert cfg.seed_intensity_mw_cm2 == 10.0
     assert cfg.seed_e0_v_m is None
     assert cfg.p0_mbar == 2.5
+
+
+def test_reference_file_holds_the_defaults():
+    """configs/reference.ini says it holds the package defaults; keep it so."""
+    path = Path(__file__).resolve().parent.parent / "configs" / "reference.ini"
+    assert load_config(path) == RunConfig()
 
 
 def test_file_with_sections(tmp_path):
@@ -135,13 +142,15 @@ class TestStepCap:
     """RK4 step counts are bounded at parse time, before any kernel allocates."""
 
     @pytest.mark.parametrize(
-        "key, steps_per_unit",
+        "key, span",
         [
             ("dt_over_tau_s", RunConfig().tau_r_over_tau_s),
             ("pendulum_dt_over_tau_w", PENDULUM_SPAN_TAU_W),
         ],
     )
-    def test_cap_names_the_key(self, key, steps_per_unit):
+    def test_cap_names_the_key(self, key, span):
+        # The pendulum oracle also runs at half the step, so it takes twice the steps.
+        steps_per_unit = 2.0 * span if key == "pendulum_dt_over_tau_w" else span
         load_config(overrides=[f"{key}={2.0 * steps_per_unit / MAX_RK4_STEPS!r}"])
         with pytest.raises(ConfigError, match=key):
             load_config(overrides=[f"{key}={0.5 * steps_per_unit / MAX_RK4_STEPS!r}"])

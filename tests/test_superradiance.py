@@ -233,6 +233,13 @@ class TestSolution:
         want = flipped.w0 * np.cos(sol.bloch_angle(t))
         assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
 
+    @pytest.mark.parametrize("scale_n, scale_l", [(1e-200, 1.0), (1e150, 1.0), (1.0, 1e300)])
+    def test_peak_out_of_float_range_raises(self, anchor_medium, scale_n, scale_l):
+        """P0 ~ N^2 L underflowing to 0 or overflowing to inf is a NumericalError."""
+        m = dataclasses.replace(anchor_medium, N=scale_n * anchor_medium.N, L=scale_l * anchor_medium.L)
+        with pytest.raises(NumericalError, match="burst peak P0 = "):
+            solve_after_seed(m, THETA_R, TAU_R)
+
     def test_inconsistent_fields_rejected(self, sol8):
         with pytest.raises(ValueError):
             dataclasses.replace(sol8, I0=2.0 * sol8.I0)

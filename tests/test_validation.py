@@ -1,8 +1,10 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from n2sr import config, validation
+from n2sr.superradiance import characteristic_duration
 from n2sr.validation import run_validation_checks
 
 EXPECTED_CHECKS = [
@@ -91,3 +93,140 @@ class TestDephasingWindow:
         scan = config.scan_pressures(cfg, validation.DEFAULT_SCAN_PRESSURES)
         off = dataclasses.replace(scan, dephasing=scan.dephasing * (1.0 + 2.0**-52))
         assert not check_dephasing(cfg, off).passed
+
+
+def by_name(results):
+    return {r.name: r for r in results}
+
+
+def error_and_orders(detail):
+    """The max error and the per-case orders from an order-reporting detail text."""
+    error = float(detail.split("= ")[1].split(" ")[0].rstrip(","))
+    orders = detail.split("observed order ")[1].split(" at ")[0].split(", ")
+    return error, orders
+
+
+# An accepted config with tau_W about 4e4 times shorter than tau_r.
+NARROW_BURST = {"anchor_tau_w_ps": 2.56e-5, "w0": -1.0, "validity_threshold": 1.5e-4, "p0_mbar": 0.0}
+
+
+class TestPendulumOrder:
+    """The pendulum oracle runs at h and h/2 and gates the observed order."""
+
+    def test_default_orders_are_four(self, cfg):
+        result = by_name(run_validation_checks(cfg))["pendulum-closed-form"]
+        error, orders = error_and_orders(result.detail)
+        assert result.passed and 1e-11 < error <= 1e-7
+        assert len(orders) == 4
+        assert all(abs(float(order) - 4.0) <= 0.05 for order in orders), orders
+
+    def test_third_order_stepper_fails_under_the_error_bound(self, cfg, monkeypatch):
+        """An h^3 defect below 1e-7 passes the error bound; only the order gate sees it."""
+        integrate = validation.integrate_pendulum
+
+        def third_order(theta_r, tau_r, medium, t_end, dt):
+            t, theta = integrate(theta_r, tau_r, medium, t_end, dt)
+            h = dt / characteristic_duration(medium)
+            return t, theta + 1e-2 * h**3 * np.sin(theta)
+
+        monkeypatch.setattr(validation, "integrate_pendulum", third_order)
+        result = validation._check_pendulum(cfg, config.reference_solution(cfg))
+        error, orders = error_and_orders(result.detail)
+        assert error <= 1e-7
+        assert not result.passed
+        assert all(abs(float(order) - 3.0) <= 0.1 for order in orders), orders
+
+    def test_order_near_roundoff_is_unresolved(self, cfg):
+        """At theta_r = 0.999 pi one case sits on the roundoff floor (order 3.51 if read)."""
+        strong = dataclasses.replace(cfg, theta_strong_over_pi=0.999)
+        result = validation._check_pendulum(strong, config.reference_solution(strong))
+        assert result.passed, result.detail
+        _, orders = error_and_orders(result.detail)
+        assert orders[2] == "unresolved"
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # theta_r near pi with w0 < 0: the escape amplifies each rounding.
+            {"theta_strong_over_pi": 0.99999},
+            # tau_r / tau_W ~ 4e4: t and tau_D are rounded on the scale of tau_r.
+            NARROW_BURST,
+        ],
+    )
+    def test_ill_conditioned_cases_raise_the_floor(self, cfg, overrides):
+        """Where roundoff alone exceeds 1e-12, the order is unresolved, not failed."""
+        run = dataclasses.replace(cfg, **overrides)
+        result = validation._check_pendulum(run, config.reference_solution(run))
+        assert result.passed, result.detail
+        assert "unresolved" in result.detail
+
+    def test_observed_order_rule(self):
+        assert validation._observed_order([16e-10, 1e-10], [1000, 2000]) == pytest.approx(4.0, rel=1e-15)
+        assert validation._observed_order([16e-10, 1e-10], [34, 67]) == pytest.approx(4.0874, rel=1e-4)
+        assert validation._observed_order([16e-13, 1e-13], [1000, 2000]) is None
+        assert validation._observed_order([16e-10, 1e-10], [1000, 2000], floor=1e-9) is None
+        assert validation._observed_order([1e-3, 1e-3], [1, 1]) is None
+        assert validation._order_ok(None) and validation._order_ok(4.49)
+        assert not validation._order_ok(3.49)
+
+
+class TestSeedOrder:
+    """bloch-closed-form also reports the seed RK4's order, from two coarse runs."""
+
+    def test_default_order_is_four(self, cfg):
+        result = by_name(run_validation_checks(cfg))["bloch-closed-form"]
+        assert result.passed
+        _, orders = error_and_orders(result.detail)
+        assert abs(float(orders[0]) - 4.0) <= 0.05
+        assert result.detail.endswith(" at 58/116 steps")
+
+    @pytest.mark.parametrize("intensity", [1.0, 100.0, 1000.0])
+    def test_order_holds_across_seed_strengths(self, cfg, intensity):
+        """At 100 MW/cm^2 the error at tau_r alone would read 4.86; the grid max reads 4."""
+        result, = [r for r in validation._check_bloch(
+            dataclasses.replace(cfg, seed_intensity_mw_cm2=intensity)) if r.name == "bloch-closed-form"]
+        assert result.passed, result.detail
+        _, orders = error_and_orders(result.detail)
+        assert abs(float(orders[0]) - 4.0) <= 0.05
+
+    def test_third_order_kernel_fails(self, cfg, monkeypatch):
+        """An h^3 defect far below 1e-8 at the configured step fails on its order."""
+        integrate = validation.integrate_bloch_rwa
+
+        def third_order(seed, medium, t_end, dt):
+            traj = integrate(seed, medium, t_end=t_end, dt=dt)
+            return dataclasses.replace(traj, w=traj.w + 1e-3 * (dt / seed.tau_s) ** 3)
+
+        monkeypatch.setattr(validation, "integrate_bloch_rwa", third_order)
+        _, closed_form = validation._check_bloch(cfg)
+        error, orders = error_and_orders(closed_form.detail)
+        assert error <= 1e-8
+        assert not closed_form.passed
+        assert abs(float(orders[0]) - 3.0) <= 0.1
+
+
+class TestScanScaling:
+    """scan-scaling holds in every regime: the delay invariant, not a monotone tau_D."""
+
+    def test_strong_seed_passes(self, cfg):
+        strong = dataclasses.replace(cfg, dipole_debye=16.84)
+        scan = config.scan_pressures(strong, validation.DEFAULT_SCAN_PRESSURES)
+        assert scan.theta_r > 0.5 * np.pi
+        assert np.all(np.diff(scan.tau_D) > 0.0)  # tau_D rises with p here
+        result = validation._check_scan_scaling(strong, scan)
+        assert result.passed, result.detail
+
+    def test_delay_invariant_scales_with_tau_r(self, cfg):
+        """tau_D - tau_r cancels digits when tau_r >> tau_W; the bound scales with it."""
+        narrow = dataclasses.replace(cfg, **NARROW_BURST)
+        scan = config.scan_pressures(narrow, validation.DEFAULT_SCAN_PRESSURES)
+        result = validation._check_scan_scaling(narrow, scan)
+        assert result.passed, result.detail
+
+    def test_shifted_delay_fails(self, cfg):
+        scan = config.scan_pressures(cfg, validation.DEFAULT_SCAN_PRESSURES)
+        tau_d = scan.tau_D.copy()
+        tau_d[4] += 1e-9 * scan.tau_W[4]
+        result = validation._check_scan_scaling(cfg, dataclasses.replace(scan, tau_D=tau_d))
+        assert not result.passed
+        assert "widths falling: True" in result.detail
