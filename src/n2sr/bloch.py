@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -25,26 +25,14 @@ from .errors import NumericalError
 from .system import SeedPulse, TwoLevelMedium
 
 __all__ = [
-    "BlochState",
     "BlochTrajectory",
     "rabi_frequency_peak",
     "bloch_angle",
     "integrate_bloch_rwa",
-    "analytic_seed_solution",
 ]
 
 # Default integration/quadrature step relative to the seed duration.
 STEPS_PER_TAU_S = 2000
-
-
-@dataclass(frozen=True)
-class BlochState:
-    """Bloch vector sample at one instant."""
-
-    t: float
-    u: float
-    v: float
-    w: float
 
 
 @dataclass(frozen=True)
@@ -69,17 +57,6 @@ class BlochTrajectory:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def __iter__(self) -> Iterator[BlochState]:
-        for i in range(len(self.t)):
-            yield self.state(i)
-
-    def state(self, i: int) -> BlochState:
-        return BlochState(float(self.t[i]), float(self.u[i]), float(self.v[i]), float(self.w[i]))
-
-    @property
-    def final_state(self) -> BlochState:
-        return self.state(len(self.t) - 1)
 
     def write_csv(self, path) -> None:
         write_columns(
@@ -210,16 +187,4 @@ def integrate_bloch_rwa(
         w=z.real.copy(),
         theta=theta,
     )
-
-
-def analytic_seed_solution(
-    pulse: SeedPulse,
-    medium: TwoLevelMedium,
-    t: float,
-    dt: Optional[float] = None,
-    envelope: Optional[Callable] = None,
-) -> BlochState:
-    """Closed-form seed-stage state (0, w0 sin theta, w0 cos theta) at time t."""
-    theta = bloch_angle(pulse, medium, t, dt=dt, envelope=envelope)
-    return BlochState(t=t, u=0.0, v=medium.w0 * math.sin(theta), w=medium.w0 * math.cos(theta))
 

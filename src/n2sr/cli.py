@@ -32,9 +32,9 @@ from .profiles import (
     write_summary_csv,
 )
 from .superradiance import solve_after_seed, write_profile_csv
-from .validation import run_validation_checks
+from .validation import DEFAULT_SCAN_PRESSURES, run_validation_checks
 
-DEFAULT_PRESSURES = "6,7,8,10,12,14,16,18,20"
+DEFAULT_PRESSURES = ",".join(f"{p:g}" for p in DEFAULT_SCAN_PRESSURES)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,36 +96,33 @@ def cmd_seed_phase(cfg: RunConfig, outdir: Path) -> int:
     traj = integrate_bloch_rwa(seed, medium, t_end=seed.tau_r, dt=dt)
     traj.write_csv(outdir / "bloch_trajectory.csv")
 
-    final = traj.final_state
-    theta = float(traj.theta[-1])
+    # item() gives Python floats, whose repr the summary is written in.
+    theta, u, v, w = (col[-1].item() for col in (traj.theta, traj.u, traj.v, traj.w))
     theta_quad = bloch_angle(seed, medium, seed.tau_r, dt=dt)
-    defect = abs(final.v**2 + final.w**2 - medium.w0**2)
+    defect = abs(v**2 + w**2 - medium.w0**2)
     lines = [
         f"theta_tau_r_rad = {theta!r}",
         f"theta_tau_r_over_pi = {theta / math.pi!r}",
         f"theta_quadrature_rad = {theta_quad!r}",
-        f"u_tau_r = {final.u!r}",
-        f"v_tau_r = {final.v!r}",
-        f"w_tau_r = {final.w!r}",
+        f"u_tau_r = {u!r}",
+        f"v_tau_r = {v!r}",
+        f"w_tau_r = {w!r}",
         f"conservation_defect = {defect!r}",
     ]
     (outdir / "seed_summary.txt").write_text("[seed-phase]\n" + "\n".join(lines) + "\n")
     print(f"seed stage: theta(tau_r) = {theta:.6f} rad = {theta / math.pi:.5f} pi")
-    print(f"Bloch vector at tau_r: v = {final.v:.6e}, w = {final.w:.6e}")
+    print(f"Bloch vector at tau_r: v = {v:.6e}, w = {w:.6e}")
     return 0
 
 
 def cmd_regimes(cfg: RunConfig, outdir: Path) -> int:
-    # The angle is checked before the reference burst is built, which would
-    # reject an angle outside (0, pi) with a message that names no value.
-    seed, dt = cfgmod.seed_pulse(cfg), cfgmod.dt_seconds(cfg)
-    theta_weak = bloch_angle(seed, cfgmod.medium_template(cfg), seed.tau_r, dt=dt)
-    if not 0.0 < theta_weak < 0.5 * math.pi:
+    # Building the burst already rejects an angle outside (0, pi), naming it.
+    weak = cfgmod.reference_solution(cfg)
+    if not weak.theta_r < 0.5 * math.pi:
         raise ConfigError(
-            f"the configured seed tips the Bloch vector to {theta_weak:.4f} rad; "
+            f"the configured seed tips the Bloch vector to {weak.theta_r:.4f} rad; "
             "the weak-seed panels need theta_r in (0, pi/2)"
         )
-    weak = cfgmod.reference_solution(cfg)
     medium, tau_r = weak.medium, weak.tau_r
     theta_strong = cfg.theta_strong_over_pi * math.pi
     absorbing = dataclasses.replace(medium, w0=-medium.w0)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -178,6 +179,13 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(str(exc)) from None
     except ArithmeticError as exc:
         raise ConfigError(f"the configured values leave the floating-point range: {exc}") from None
+    # SeedPulse has checked tau_s > 0. Every seed-stage time is a multiple of
+    # tau_s, and a subnormal one keeps only a few significant bits.
+    if ps_to_s(cfg.tau_s_ps) < sys.float_info.min:
+        raise ConfigError(
+            f"config key 'tau_s_ps' is {cfg.tau_s_ps!r} ps, below the smallest normal "
+            f"double in seconds ({sys.float_info.min!r} s)"
+        )
     for key in ("dt_over_tau_s", "pendulum_dt_over_tau_w", "window_tau_w",
                 "regime_span_tau_w", "fit_tol", "validity_threshold", "radius_um"):
         if not getattr(cfg, key) > 0.0:

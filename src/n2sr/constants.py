@@ -17,11 +17,9 @@ __all__ = [
     "CONSTANTS",
     "DEBYE_SI",
     "dipole_debye_to_si",
-    "dipole_si_to_debye",
     "wavelength_to_angular_frequency",
     "pressure_to_number_density",
     "mbar_to_pascal",
-    "pascal_to_mbar",
     "ps_to_s",
     "s_to_ps",
     "mm_to_m",
@@ -66,13 +64,6 @@ def dipole_debye_to_si(mu_debye: float) -> float:
     return mu_debye * DEBYE_SI
 
 
-def dipole_si_to_debye(mu_si: float) -> float:
-    """Transition dipole moment, C m -> debye."""
-    if mu_si < 0.0:
-        raise ValueError("dipole moment must be non-negative")
-    return mu_si / DEBYE_SI
-
-
 def wavelength_to_angular_frequency(wavelength_m: float) -> float:
     """Vacuum wavelength -> angular frequency, 2*pi*c/lambda."""
     if not wavelength_m > 0.0:
@@ -91,10 +82,6 @@ def pressure_to_number_density(pressure_pa, temperature_k: float = 300.0):
 
 def mbar_to_pascal(p_mbar: float) -> float:
     return p_mbar * 100.0
-
-
-def pascal_to_mbar(p_pa: float) -> float:
-    return p_pa / 100.0
 
 
 def ps_to_s(t_ps: float) -> float:

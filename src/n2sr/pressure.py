@@ -12,8 +12,8 @@ value as ground truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import Iterator, NamedTuple, Optional, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "BelowThresholdError",
     "DensityCalibration",
     "DephasingParameters",
-    "ScanRow",
     "ScanTable",
     "ValidityCheck",
     "REFERENCE_DENSITY_SLOPE_PER_CM3_MBAR",
@@ -101,33 +100,16 @@ class ValidityCheck(NamedTuple):
     margin: float  # a float array for array inputs
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    """Predicted burst observables at one pressure (SI units internally)."""
-
-    p_mbar: float
-    N: float                 # m^-3
-    theta_r: float           # rad
-    tau_W: float             # s
-    tau_D: float             # s
-    I_peak: float            # W/m^2
-    I_peak_norm: float       # relative to the maximum-pressure row
-    E_total: float           # J
-    E_total_norm: float      # relative to the maximum-pressure row
-    E_total_integral: float  # J, diagnostic from integrating the sech^2 burst
-    dephasing: float         # s
-    validity_margin: float
-    valid: bool
-
-
 @dataclass(frozen=True, eq=False)
 class ScanTable:
     """Predicted burst observables across a pressure scan, one column each.
 
     Every column is a read-only 1-D array with one entry per pressure, in
-    scan order (SI units, as in ScanRow); theta_r is shared by all rows.
-    len() is the number of pressures, and indexing or iteration yields
-    ScanRow views built on demand.
+    scan order, in SI units: N in m^-3, times in s, I_peak in W/m^2 and
+    energies in J. The _norm columns are relative to the maximum-pressure
+    row, and E_total_integral is the diagnostic from integrating the sech^2
+    burst. theta_r (rad) is shared by all rows, and len() is the number of
+    pressures.
     """
 
     theta_r: float
@@ -145,26 +127,14 @@ class ScanTable:
     valid: np.ndarray  # bool
 
     def __post_init__(self) -> None:
-        for name in self._columns():
+        for name in (f.name for f in fields(self) if f.name != "theta_r"):
             column = getattr(self, name)
             if column.shape != self.p_mbar.shape or column.ndim != 1:
                 raise ValueError("scan columns must be 1-D and of equal length")
             column.setflags(write=False)
 
-    @classmethod
-    def _columns(cls) -> list[str]:
-        return [f.name for f in fields(cls) if f.name != "theta_r"]
-
     def __len__(self) -> int:
         return len(self.p_mbar)
-
-    def __getitem__(self, i: int) -> ScanRow:
-        # item() turns numpy scalars into Python floats and bools.
-        values = {name: getattr(self, name)[i].item() for name in self._columns()}
-        return ScanRow(theta_r=self.theta_r, **values)
-
-    def __iter__(self) -> Iterator[ScanRow]:
-        return map(self.__getitem__, range(len(self)))
 
 
 def calibrate_density_scale(
@@ -208,7 +178,7 @@ def density_from_pressure(cal: DensityCalibration, p_mbar):
 def medium_at_pressure(
     cal: DensityCalibration, medium_template: TwoLevelMedium, p_mbar: float
 ) -> TwoLevelMedium:
-    return medium_template.with_density(density_from_pressure(cal, p_mbar))
+    return replace(medium_template, N=density_from_pressure(cal, p_mbar))
 
 
 def total_emitted_energy(medium: TwoLevelMedium, theta_r: float, radius: float, N=None):

@@ -75,14 +75,13 @@ class Regime(enum.IntEnum):
     ABSORBING_WEAK_SEED = 3
     ABSORBING_STRONG_SEED = 4
 
-    @property
-    def delayed_peak(self) -> bool:
-        return self in (Regime.INVERTED_WEAK_SEED, Regime.ABSORBING_STRONG_SEED)
 
-    @property
-    def energy_source(self) -> str:
-        inverted = self in (Regime.INVERTED_WEAK_SEED, Regime.INVERTED_STRONG_SEED)
-        return "medium" if inverted else "seed"
+def _check_handover_angle(theta_r: float) -> None:
+    if not 0.0 < theta_r < math.pi:
+        raise ValueError(
+            f"the seed tips the Bloch vector to {theta_r:.4f} rad; "
+            "theta_r must lie strictly inside (0, pi)"
+        )
 
 
 def classify_regime(w0: float, theta_r: float) -> Regime:
@@ -93,8 +92,7 @@ def classify_regime(w0: float, theta_r: float) -> Regime:
     """
     if w0 == 0.0:
         raise ValueError("w0 = 0 is degenerate: no population imbalance")
-    if not 0.0 < theta_r < math.pi:
-        raise ValueError("theta_r must lie strictly inside (0, pi)")
+    _check_handover_angle(theta_r)
     if theta_r == 0.5 * math.pi:
         raise ValueError("theta_r = pi/2 is the degenerate boundary between regimes")
     weak = theta_r < 0.5 * math.pi
@@ -135,8 +133,7 @@ def time_delay(medium: TwoLevelMedium, theta_r: float, tau_r: float, N=None):
     logarithmically as theta_r -> 0 or pi. N overrides medium.N and may be
     an array.
     """
-    if not 0.0 < theta_r < math.pi:
-        raise ValueError("theta_r must lie strictly inside (0, pi)")
+    _check_handover_angle(theta_r)
     tau_w = characteristic_duration(medium, N)
     # ln tan(pi/4) is 0; special-cased so the midpoint maps to tau_r exactly.
     log_tan = 0.0 if theta_r == 0.5 * math.pi else math.log(math.tan(0.5 * theta_r))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,9 +64,6 @@ class TwoLevelMedium:
             w0=w0,
         )
 
-    def with_density(self, N: float) -> "TwoLevelMedium":
-        return replace(self, N=N)
-
 
 @dataclass(frozen=True)
 class SeedPulse:
@@ -95,22 +92,18 @@ class SeedPulse:
         return cls(E0=peak_field_from_intensity(intensity_w_m2), tau_s=tau_s, tau_r=tau_r)
 
     def field_envelope(self, t):
-        return seed_field_envelope(self, t)
+        """Dimensionless field envelope f(t), equal to 1 at the peak t = tau_s.
 
-
-def seed_field_envelope(pulse: SeedPulse, t):
-    """Dimensionless field envelope f(t), equal to 1 at the peak t = tau_s.
-
-    Accepts scalars or arrays. f(0) = exp(-2 ln2) = 0.25, so the envelope is
-    already small but not zero when the medium is created at t = 0.
-    """
-    # Array temporaries are reused in place: the seed RK4 evaluates the
-    # envelope on every node, and fresh arrays there cost page faults.
-    x = np.asarray(t, dtype=float) - pulse.tau_s
-    x /= pulse.tau_s
-    y = -_GAUSS_COEFF * x
-    y *= x
-    return np.exp(y, out=y) if isinstance(y, np.ndarray) else np.exp(y)
+        Accepts scalars or arrays. f(0) = exp(-2 ln2) = 0.25, so the envelope
+        is already small but not zero when the medium is created at t = 0.
+        """
+        # Array temporaries are reused in place: the seed RK4 evaluates the
+        # envelope on every node, and fresh arrays there cost page faults.
+        x = np.asarray(t, dtype=float) - self.tau_s
+        x /= self.tau_s
+        y = -_GAUSS_COEFF * x
+        y *= x
+        return np.exp(y, out=y) if isinstance(y, np.ndarray) else np.exp(y)
 
 
 def peak_field_from_intensity(intensity_w_m2: float) -> float:

@@ -7,7 +7,6 @@ import pytest
 
 from n2sr.bloch import (
     BlochTrajectory,
-    analytic_seed_solution,
     bloch_angle,
     integrate_bloch_rwa,
     rabi_frequency_peak,
@@ -54,6 +53,12 @@ def test_angle_edge_cases(seed, template):
         bloch_angle(seed, template, 1e-13, dt=0.0)
 
 
+def closed_form(seed, medium, t):
+    """Seed-stage state (v, w) = w0 (sin theta, cos theta), theta by quadrature."""
+    theta = bloch_angle(seed, medium, t)
+    return medium.w0 * math.sin(theta), medium.w0 * math.cos(theta)
+
+
 def test_rabi_frequency(seed, template):
     assert rabi_frequency_peak(seed, template) == template.mu * seed.E0 / CONSTANTS.hbar
 
@@ -64,9 +69,9 @@ class TestIntegration:
         traj = integrate_bloch_rwa(seed, template, t_end)
         # probe a handful of interior samples plus the endpoint
         for i in np.linspace(0, len(traj) - 1, 9, dtype=int):
-            ref = analytic_seed_solution(seed, template, float(traj.t[i]))
-            assert traj.v[i] == pytest.approx(ref.v, abs=1e-8)
-            assert traj.w[i] == pytest.approx(ref.w, abs=1e-8)
+            ref_v, ref_w = closed_form(seed, template, float(traj.t[i]))
+            assert traj.v[i] == pytest.approx(ref_v, abs=1e-8)
+            assert traj.w[i] == pytest.approx(ref_w, abs=1e-8)
 
     def test_conservation_per_step(self, seed, template):
         traj = integrate_bloch_rwa(seed, template, 4.0 * seed.tau_s)
@@ -86,11 +91,11 @@ class TestIntegration:
     def test_fourth_order_convergence(self, seed, template):
         """Halving the step shrinks the final-state error ~16x."""
         t_end = 4.0 * seed.tau_s
-        ref = analytic_seed_solution(seed, template, t_end)
+        ref_v, ref_w = closed_form(seed, template, t_end)
 
         def err(n):
             traj = integrate_bloch_rwa(seed, template, t_end, dt=t_end / n)
-            return max(abs(traj.v[-1] - ref.v), abs(traj.w[-1] - ref.w))
+            return max(abs(traj.v[-1] - ref_v), abs(traj.w[-1] - ref_w))
 
         e20, e40, e80 = err(20), err(40), err(80)
         assert 12.8 <= e20 / e40 <= 19.2
@@ -162,19 +167,14 @@ class TestIntegration:
 
 
 def test_analytic_solution_at_zero(seed, template):
-    state = analytic_seed_solution(seed, template, 0.0)
-    assert (state.u, state.v, state.w) == (0.0, 0.0, template.w0)
+    assert closed_form(seed, template, 0.0) == (0.0, template.w0)
 
 
 def test_trajectory_container(seed, template):
     traj = integrate_bloch_rwa(seed, template, 4.0 * seed.tau_s, dt=seed.tau_s / 50)
-    assert len(traj) == len(traj.t)
-    first = traj.state(0)
-    assert (first.v, first.w) == (0.0, template.w0)
-    assert traj.final_state.t == traj.t[-1]
-    states = list(traj)
-    assert len(states) == len(traj)
-    assert states[-1].w == traj.w[-1]
+    assert len(traj) == len(traj.t) == 201
+    assert (traj.u[0], traj.v[0], traj.w[0], traj.theta[0]) == (0.0, 0.0, template.w0, 0.0)
+    assert traj.t[-1] == 4.0 * seed.tau_s
 
 
 def test_trajectory_validation():

@@ -114,7 +114,14 @@ class TestRegimes:
     def test_zero_seed_message(self, tmp_path, capsys):
         assert main(["regimes", "--set", "seed_intensity_mw_cm2=0", "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == (
-            "error: the configured seed tips the Bloch vector to 0.0000 rad; "
+            "error: the seed tips the Bloch vector to 0.0000 rad; "
+            "theta_r must lie strictly inside (0, pi)\n"
+        )
+
+    def test_strong_seed_message(self, tmp_path, capsys):
+        assert main(["regimes", "--set", "seed_intensity_mw_cm2=1e3", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: the configured seed tips the Bloch vector to 1.7392 rad; "
             "the weak-seed panels need theta_r in (0, pi/2)\n"
         )
 
@@ -345,6 +352,15 @@ class TestArithmeticFailures:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize("command", ["pressure-scan", "validate"])
+    def test_out_of_range_angle_is_named(self, tmp_path, capsys, command):
+        args = [command, "--set", "seed_intensity_mw_cm2=1e4", "--out", str(tmp_path)]
+        assert main(args) == 1
+        assert capsys.readouterr().err == (
+            "error: the seed tips the Bloch vector to 5.5000 rad; "
+            "theta_r must lie strictly inside (0, pi)\n"
+        )
+
     def test_no_command(self, capsys):
         assert main([]) == 1
         assert "error" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -136,6 +137,18 @@ class TestValueErrors:
     def test_out_of_range_rejected(self, override):
         with pytest.raises(ConfigError):
             load_config(overrides=[override])
+
+
+def test_subnormal_seed_duration_rejected():
+    """tau_s_ps is accepted down to the smallest normal double in seconds, and no further."""
+    x = sys.float_info.min / 1e-12
+    while ps_to_s(x) < sys.float_info.min:
+        x = math.nextafter(x, math.inf)
+    assert load_config(overrides=[f"tau_s_ps={x!r}"]).tau_s_ps == x
+    with pytest.raises(ConfigError, match="config key 'tau_s_ps' is .* below the smallest normal"):
+        load_config(overrides=[f"tau_s_ps={math.nextafter(x, 0.0)!r}"])
+    with pytest.raises(ConfigError, match="tau_s_ps"):
+        load_config(overrides=["tau_s_ps=1e-300"])
 
 
 class TestStepCap:

@@ -10,11 +10,9 @@ from n2sr.constants import (
     cm2_to_m2,
     cm_per_s_to_m_per_s,
     dipole_debye_to_si,
-    dipole_si_to_debye,
     mbar_to_pascal,
     mm_to_m,
     mw_per_cm2_to_w_per_m2,
-    pascal_to_mbar,
     per_cm3_to_per_m3,
     per_m3_to_per_cm3,
     pressure_to_number_density,
@@ -113,18 +111,14 @@ finite = st.floats(min_value=1e-12, max_value=1e12, allow_nan=False, allow_infin
 
 
 @given(finite)
-def test_pressure_roundtrip(x):
-    assert pascal_to_mbar(mbar_to_pascal(x)) == pytest.approx(x, rel=1e-12)
-
-
-@given(finite)
 def test_time_roundtrip(x):
     assert s_to_ps(ps_to_s(x)) == pytest.approx(x, rel=1e-12)
 
 
 @given(finite)
 def test_dipole_roundtrip(x):
-    assert dipole_si_to_debye(dipole_debye_to_si(x)) == pytest.approx(x, rel=1e-12)
+    # Back through the constant table, which must hold the converter's debye.
+    assert dipole_debye_to_si(x) / CONSTANTS.debye == pytest.approx(x, rel=1e-12)
 
 
 @given(finite)

@@ -106,15 +106,17 @@ def test_profile(tmp_path, anchor_medium, seed):
 
 
 def test_scan(tmp_path, rng, cal, seed, template, dephasing):
-    rows = pressure_scan(cal, seed, template, rng.uniform(2.6, 40.0, 500).tolist(), dephasing)
+    scan = pressure_scan(cal, seed, template, rng.uniform(2.6, 40.0, 500).tolist(), dephasing)
     path = tmp_path / "scan.csv"
-    write_scan_csv(path, rows)
+    write_scan_csv(path, scan)
     expected = SCAN_CSV_HEADER + "\n" + "".join(
-        f"{float(r.p_mbar)!r},{per_m3_to_per_cm3(float(r.N))!r},{s_to_ps(float(r.tau_W))!r},"
-        f"{s_to_ps(float(r.tau_D))!r},{float(r.theta_r)!r},{w_per_m2_to_w_per_cm2(float(r.I_peak))!r},"
-        f"{float(r.I_peak_norm)!r},{float(r.E_total)!r},{float(r.E_total_norm)!r},"
-        f"{float(r.E_total_integral)!r},{s_to_ps(float(r.dephasing))!r},{float(r.validity_margin)!r}\n"
-        for r in rows
+        f"{float(scan.p_mbar[i])!r},{per_m3_to_per_cm3(float(scan.N[i]))!r},"
+        f"{s_to_ps(float(scan.tau_W[i]))!r},{s_to_ps(float(scan.tau_D[i]))!r},"
+        f"{float(scan.theta_r)!r},{w_per_m2_to_w_per_cm2(float(scan.I_peak[i]))!r},"
+        f"{float(scan.I_peak_norm[i])!r},{float(scan.E_total[i])!r},"
+        f"{float(scan.E_total_norm[i])!r},{float(scan.E_total_integral[i])!r},"
+        f"{s_to_ps(float(scan.dephasing[i]))!r},{float(scan.validity_margin[i])!r}\n"
+        for i in range(len(scan))
     )
     assert path.read_text() == expected
 

@@ -103,7 +103,7 @@ class TestEmittedEnergy:
         assert total_emitted_energy(m, 1e-9, r) == pytest.approx(full, rel=1e-12)
 
     def test_linear_in_density(self, anchor_medium):
-        doubled = anchor_medium.with_density(2.0 * anchor_medium.N)
+        doubled = dataclasses.replace(anchor_medium, N=2.0 * anchor_medium.N)
         assert total_emitted_energy(doubled, THETA_R, 50e-6) == 2.0 * total_emitted_energy(
             anchor_medium, THETA_R, 50e-6
         )
@@ -174,58 +174,60 @@ def rows(cal, seed, template, dephasing):
     return pressure_scan(cal, seed, template, TABLE_PRESSURES, dephasing)
 
 
+I8 = TABLE_PRESSURES.index(8.0)
+
+
 class TestScan:
     def test_row_count_and_order(self, rows):
-        assert [r.p_mbar for r in rows] == TABLE_PRESSURES
+        assert len(rows) == len(TABLE_PRESSURES)
+        assert rows.p_mbar.tolist() == TABLE_PRESSURES
 
     def test_anchor_width_reproduced(self, rows, cal):
-        row8 = rows[TABLE_PRESSURES.index(8.0)]
-        assert abs(row8.tau_W / cal.anchor_tau_w - 1.0) < 0.005
+        assert abs(rows.tau_W[I8] / cal.anchor_tau_w - 1.0) < 0.005
 
     def test_widths_and_delays_decrease(self, rows):
-        tau_w = [r.tau_W for r in rows]
-        tau_d = [r.tau_D for r in rows]
+        tau_w = rows.tau_W.tolist()
+        tau_d = rows.tau_D.tolist()
         assert all(a > b for a, b in zip(tau_w, tau_w[1:]))
         assert all(a > b for a, b in zip(tau_d, tau_d[1:]))
 
     def test_outputs_increase(self, rows):
-        i_peak = [r.I_peak for r in rows]
-        e_total = [r.E_total for r in rows]
+        i_peak = rows.I_peak.tolist()
+        e_total = rows.E_total.tolist()
         assert all(a < b for a, b in zip(i_peak, i_peak[1:]))
         assert all(a < b for a, b in zip(e_total, e_total[1:]))
 
     def test_normalized_shapes_exact(self, rows, cal):
         """Quadratic peak intensity, linear energy, in (p - p0)."""
         span = TABLE_PRESSURES[-1] - cal.p0
-        for r in rows:
-            x = (r.p_mbar - cal.p0) / span
-            assert r.I_peak_norm == pytest.approx(x**2, rel=1e-12)
-            assert r.E_total_norm == pytest.approx(x, rel=1e-12)
+        for p, i_norm, e_norm in zip(
+            rows.p_mbar.tolist(), rows.I_peak_norm.tolist(), rows.E_total_norm.tolist()
+        ):
+            x = (p - cal.p0) / span
+            assert i_norm == pytest.approx(x**2, rel=1e-12)
+            assert e_norm == pytest.approx(x, rel=1e-12)
 
     def test_delay_exceeds_handover_for_weak_seed(self, rows, seed):
-        for r in rows:
-            assert r.theta_r < 0.5 * math.pi
-            assert r.tau_D > seed.tau_r
+        assert rows.theta_r < 0.5 * math.pi
+        assert all(tau_d > seed.tau_r for tau_d in rows.tau_D.tolist())
 
     def test_theta_r_pressure_independent(self, rows):
-        thetas = {r.theta_r for r in rows}
-        assert len(thetas) == 1
-        assert thetas.pop() == pytest.approx(THETA_R, rel=1e-14)
+        # One angle for the whole scan, a Python float as the CSV writer needs.
+        assert type(rows.theta_r) is float
+        assert rows.theta_r == pytest.approx(THETA_R, rel=1e-14)
 
     def test_anchor_validity(self, rows):
-        row8 = rows[TABLE_PRESSURES.index(8.0)]
-        assert row8.validity_margin == pytest.approx(179.37611593046836, rel=1e-10)
-        assert row8.valid
+        assert rows.validity_margin[I8] == pytest.approx(179.37611593046836, rel=1e-10)
+        assert rows.valid[I8]
 
     def test_intensity_ratio_between_densities(self, cal, seed, template, dephasing):
         """Doubling p - p0 quadruples the peak and doubles the energy."""
         p_lo = cal.p0 + 4.0
         p_hi = cal.p0 + 8.0
-        lo, hi = pressure_scan(cal, seed, template, [p_lo, p_hi], dephasing)
-        assert hi.N / lo.N == pytest.approx(2.0, rel=1e-12)
-        assert hi.I_peak / lo.I_peak == pytest.approx(4.0, rel=1e-12)
-        assert hi.E_total / lo.E_total == pytest.approx(2.0, rel=1e-12)
-        assert hi.tau_W / lo.tau_W == pytest.approx(0.5, rel=1e-12)
+        scan = pressure_scan(cal, seed, template, [p_lo, p_hi], dephasing)
+        for name, ratio in (("N", 2.0), ("I_peak", 4.0), ("E_total", 2.0), ("tau_W", 0.5)):
+            lo, hi = getattr(scan, name)
+            assert hi / lo == pytest.approx(ratio, rel=1e-12)
 
     def test_below_threshold_pressure_rejected(self, cal, seed, template, dephasing):
         with pytest.raises(BelowThresholdError):
@@ -234,9 +236,9 @@ class TestScan:
             pressure_scan(cal, seed, template, [cal.p0], dephasing)
 
     def test_single_pressure(self, cal, seed, template, dephasing):
-        rows = pressure_scan(cal, seed, template, [8.0], dephasing)
-        assert len(rows) == 1
-        assert rows[0].I_peak_norm == 1.0 and rows[0].E_total_norm == 1.0
+        scan = pressure_scan(cal, seed, template, [8.0], dephasing)
+        assert len(scan) == 1
+        assert scan.I_peak_norm[0] == 1.0 and scan.E_total_norm[0] == 1.0
 
     def test_csv_format(self, tmp_path, rows):
         path = tmp_path / "scan.csv"
@@ -250,7 +252,7 @@ class TestScan:
         assert len(lines) == len(rows) + 1
         first = lines[1].split(",")
         assert float(first[0]) == 6.0
-        assert float(first[2]) == pytest.approx(s_to_ps(rows[0].tau_W), rel=1e-15)
+        assert float(first[2]) == pytest.approx(s_to_ps(rows.tau_W[0]), rel=1e-15)
 
 
 def ulps(a, b):
@@ -282,21 +284,20 @@ class TestColumnarScan:
             tau_2 = dephasing_time(p, dephasing)
             check = superradiance_valid(tau_2, tau_w, tau_d)
             e_total = total_emitted_energy(m, scan.theta_r, 50e-6)
-            row = scan[i]
-            assert (row.p_mbar, row.N, row.tau_W, row.tau_D) == (p, m.N, tau_w, tau_d)
-            assert row.E_total == e_total
-            assert row.E_total_norm == e_total / e_ref
-            assert row.E_total_integral == emitted_energy_integral(m, scan.theta_r, 50e-6)
-            assert (row.dephasing, row.validity_margin) == (tau_2, check.margin)
-            assert row.valid == check.valid
+            assert (scan.p_mbar[i], scan.N[i], scan.tau_W[i], scan.tau_D[i]) == (p, m.N, tau_w, tau_d)
+            assert scan.E_total[i] == e_total
+            assert scan.E_total_norm[i] == e_total / e_ref
+            assert scan.E_total_integral[i] == emitted_energy_integral(m, scan.theta_r, 50e-6)
+            assert (scan.dephasing[i], scan.validity_margin[i]) == (tau_2, check.margin)
+            assert scan.valid[i] == check.valid
             # numpy squares N as N * N, Python's N**2 calls libm pow.
-            assert ulps(row.I_peak, peak_intensity(m)) <= 1.0
-            assert ulps(row.I_peak_norm, peak_intensity(m) / i_peak_ref) <= 1.0
+            assert ulps(scan.I_peak[i], peak_intensity(m)) <= 1.0
+            assert ulps(scan.I_peak_norm[i], peak_intensity(m) / i_peak_ref) <= 1.0
 
     def test_table_shape(self, scan, pressures):
         assert len(scan) == len(pressures)
-        assert isinstance(scan[-1].valid, bool) and scan[-1].p_mbar == pressures[-1]
-        assert [r.p_mbar for r in scan] == pressures
+        assert scan.valid.dtype == bool and scan.p_mbar[-1] == pressures[-1]
+        assert scan.p_mbar.tolist() == pressures
         for name in ("p_mbar", "tau_W", "valid"):
             column = getattr(scan, name)
             assert column.shape == (len(pressures),)
@@ -307,7 +308,7 @@ class TestColumnarScan:
         n = anchor_medium.N * np.array([0.5, 1.0, 3.0])
         p = np.array([3.0, 8.0, 25.0])
         for j in range(3):
-            m = anchor_medium.with_density(float(n[j]))
+            m = dataclasses.replace(anchor_medium, N=float(n[j]))
             assert characteristic_duration(anchor_medium, n)[j] == characteristic_duration(m)
             assert time_delay(anchor_medium, THETA_R, 1e-12, n)[j] == time_delay(m, THETA_R, 1e-12)
             assert ulps(peak_power_density(anchor_medium, n)[j], peak_power_density(m)) <= 1.0

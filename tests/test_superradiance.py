@@ -73,7 +73,7 @@ class TestTimescales:
 
     def test_duration_halves_when_density_doubles(self, anchor_medium):
         tau = characteristic_duration(anchor_medium)
-        doubled = anchor_medium.with_density(2.0 * anchor_medium.N)
+        doubled = dataclasses.replace(anchor_medium, N=2.0 * anchor_medium.N)
         assert characteristic_duration(doubled) == 0.5 * tau
 
     def test_duration_halves_when_length_doubles(self, anchor_medium):
@@ -149,15 +149,14 @@ class TestRegimes:
         with pytest.raises(ValueError):
             classify_regime(w0, theta_r)
 
-    def test_delayed_peak_flags(self):
-        assert Regime.INVERTED_WEAK_SEED.delayed_peak
-        assert Regime.ABSORBING_STRONG_SEED.delayed_peak
-        assert not Regime.INVERTED_STRONG_SEED.delayed_peak
-        assert not Regime.ABSORBING_WEAK_SEED.delayed_peak
-
-    def test_energy_source(self):
-        assert Regime.INVERTED_WEAK_SEED.energy_source == "medium"
-        assert Regime.ABSORBING_STRONG_SEED.energy_source == "seed"
+    def test_delayed_peak_flags(self, anchor_medium):
+        """The burst peaks after the handover in exactly the two delayed-peak regimes."""
+        delayed = {Regime.INVERTED_WEAK_SEED, Regime.ABSORBING_STRONG_SEED}
+        for w0 in (anchor_medium.w0, -anchor_medium.w0):
+            medium = dataclasses.replace(anchor_medium, w0=w0)
+            for theta_r in (0.057 * math.pi, 0.6 * math.pi):
+                sol = solve_after_seed(medium, theta_r, TAU_R)
+                assert (sol.tau_D > sol.tau_r) == (sol.regime in delayed)
 
 
 class TestBlochAngleClosedForm:
@@ -211,7 +210,7 @@ class TestSolution:
         assert peak_intensity(m) == peak_power_density(m) * m.L
 
     def test_peak_scaling(self, anchor_medium):
-        doubled_n = anchor_medium.with_density(2.0 * anchor_medium.N)
+        doubled_n = dataclasses.replace(anchor_medium, N=2.0 * anchor_medium.N)
         assert peak_power_density(doubled_n) == 4.0 * peak_power_density(anchor_medium)
         doubled_l = dataclasses.replace(anchor_medium, L=2.0 * anchor_medium.L)
         assert peak_intensity(doubled_l) == 4.0 * peak_intensity(anchor_medium)
@@ -305,7 +304,7 @@ class TestEmission:
             (dataclasses.replace(anchor_medium, w0=-anchor_medium.w0), 0.6 * math.pi),
         ):
             sol = solve_after_seed(medium, theta_r, TAU_R)
-            assert sol.regime.delayed_peak
+            assert sol.tau_D > sol.tau_r
             t = np.linspace(sol.tau_r, sol.tau_D + 10.0 * sol.tau_W, 4001)
             p = emitted_power_density(t, sol)
             assert float(p.max()) <= sol.P0
@@ -317,7 +316,7 @@ class TestEmission:
             (dataclasses.replace(anchor_medium, w0=-anchor_medium.w0), 0.057 * math.pi),
         ):
             sol = solve_after_seed(medium, theta_r, TAU_R)
-            assert not sol.regime.delayed_peak
+            assert sol.tau_D < sol.tau_r
             t = np.linspace(sol.tau_r, sol.tau_r + 10.0 * sol.tau_W, 2001)
             p = emitted_power_density(t, sol)
             assert int(np.argmax(p)) == 0

@@ -10,7 +10,6 @@ from n2sr.system import (
     TwoLevelMedium,
     intensity_from_peak_field,
     peak_field_from_intensity,
-    seed_field_envelope,
 )
 
 
@@ -21,11 +20,6 @@ class TestTwoLevelMedium:
         assert template.L == pytest.approx(0.01, rel=1e-15)
         assert template.w0 == 0.1
         assert template.N == 0.0
-
-    def test_with_density(self, template):
-        m = template.with_density(1e21)
-        assert m.N == 1e21
-        assert m.omega == template.omega and m.w0 == template.w0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -87,7 +81,7 @@ def test_envelope_shape(seed):
 
 def test_envelope_array_matches_scalar(seed):
     t = np.linspace(0.0, 4.0 * seed.tau_s, 17)
-    arr = seed_field_envelope(seed, t)
+    arr = seed.field_envelope(t)
     for ti, fi in zip(t, arr):
         assert fi == seed.field_envelope(float(ti))
 
