@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 from pathlib import Path
@@ -44,6 +45,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# Built on first use and kept: parse_args leaves its state in the Namespace
+# it returns, and argparse copies the --set append default before appending.
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     parser = _Parser(prog="sr", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -192,13 +192,20 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError(f"config key '{key}' must be positive")
     for key, steps in (
         ("dt_over_tau_s", cfg.tau_r_over_tau_s / cfg.dt_over_tau_s),
-        # The pendulum oracle's largest run is its h/2 one.
+        # The pendulum oracle runs at h and 2h, 1.5 span / h steps together;
+        # counting 2 span / h keeps the accepted range (down to 2e-5).
         ("pendulum_dt_over_tau_w", 2.0 * PENDULUM_SPAN_TAU_W / cfg.pendulum_dt_over_tau_w),
     ):
         if steps > MAX_RK4_STEPS:
             raise ConfigError(
                 f"config key '{key}' asks for {steps:.3g} RK4 steps; the limit is {MAX_RK4_STEPS}"
             )
+    # The seed step as well: a normal tau_s times dt_over_tau_s < 1 can be subnormal.
+    if dt_seconds(cfg) < sys.float_info.min:
+        raise ConfigError(
+            f"config key 'dt_over_tau_s' is {cfg.dt_over_tau_s!r}, which puts the seed step at "
+            f"{dt_seconds(cfg)!r} s, below the smallest normal double ({sys.float_info.min!r} s)"
+        )
     for key in ("profile_points", "regime_points"):
         points = getattr(cfg, key)
         if points < 2:

@@ -27,6 +27,7 @@ from .constants import (
     w_per_m2_to_w_per_cm2,
 )
 from .csvio import write_columns
+from .errors import NumericalError
 from .superradiance import characteristic_duration, peak_intensity, time_delay
 from .system import SeedPulse, TwoLevelMedium
 
@@ -248,7 +249,10 @@ def superradiance_valid(tau_2, tau_w, tau_d, threshold: float = 10.0, p_mbar=Non
             "tau_2/sqrt(tau_W tau_D) is undefined where tau_D <= 0, as it can be for "
             "w0 < 0 or for a seed that tips past pi/2"
         )
-    margin = tau_2 / np.sqrt(tau_w * tau_d)
+    # A dephasing time near the float maximum can overflow the margin to inf,
+    # which is valid at any threshold.
+    with np.errstate(over="ignore"):
+        margin = tau_2 / np.sqrt(tau_w * tau_d)
     if np.ndim(margin) == 0:
         return ValidityCheck(valid=bool(margin >= threshold), margin=float(margin))
     return ValidityCheck(valid=margin >= threshold, margin=margin)
@@ -313,10 +317,24 @@ SCAN_CSV_HEADER = (
 
 
 def write_scan_csv(path, scan: ScanTable) -> None:
-    # theta_r is one value: format it once, not once per row.
-    write_columns(path, SCAN_CSV_HEADER, [
-        scan.p_mbar, per_m3_to_per_cm3(scan.N), s_to_ps(scan.tau_W), s_to_ps(scan.tau_D),
-        [repr(scan.theta_r)] * len(scan), w_per_m2_to_w_per_cm2(scan.I_peak),
-        scan.I_peak_norm, scan.E_total, scan.E_total_norm, scan.E_total_integral,
-        s_to_ps(scan.dephasing), scan.validity_margin,
-    ])
+    """Write the scan in its CSV units.
+
+    A column that is not finite in those units raises NumericalError, naming
+    the column and its first such pressure, before the file is opened.
+    """
+    # The unit conversions may overflow; the check below reports it.
+    with np.errstate(over="ignore"):
+        columns = [
+            scan.p_mbar, per_m3_to_per_cm3(scan.N), s_to_ps(scan.tau_W), s_to_ps(scan.tau_D),
+            # theta_r is one value: format it once, not once per row.
+            [repr(scan.theta_r)] * len(scan), w_per_m2_to_w_per_cm2(scan.I_peak),
+            scan.I_peak_norm, scan.E_total, scan.E_total_norm, scan.E_total_integral,
+            s_to_ps(scan.dephasing), scan.validity_margin,
+        ]
+    for name, col in zip(SCAN_CSV_HEADER.split(","), columns):
+        if isinstance(col, np.ndarray) and not np.isfinite(col).all():
+            i = int(np.argmin(np.isfinite(col)))
+            raise NumericalError(
+                f"scan column '{name}' is {col[i].item()!r} at p = {scan.p_mbar[i].item()!r} mbar"
+            )
+    write_columns(path, SCAN_CSV_HEADER, columns)

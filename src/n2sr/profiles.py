@@ -362,11 +362,13 @@ def read_trace_csv(path) -> TemporalTrace:
     Blank and '#' lines may appear anywhere. The rows are parsed by numpy's
     C text reader; only a body it rejects is walked line by line, to read
     interleaved comments, to read the tokens that float() accepts and numpy
-    does not (such as '1_0'), or to name the bad line. The accepted syntax is
+    does not (such as '1_0'), or to name the bad line. A body holding a '#'
+    goes to the walk without the reader's attempt. The accepted syntax is
     therefore float()'s.
     """
     path = Path(path)
-    lines = path.read_text().split("\n")
+    text = path.read_text()
+    lines = text.split("\n")
     pressure = None
     for i, raw in enumerate(lines):
         line = raw.strip()
@@ -382,8 +384,11 @@ def read_trace_csv(path) -> TemporalTrace:
         raise TraceFormatError(f"{path}: missing '{TRACE_CSV_HEADER}' header")
 
     body = lines[i + 1:]
+    body_start = sum(map(len, lines[:i + 1])) + i + 1
     rows = np.empty((0, 2))
     try:
+        if text.find("#", body_start) >= 0:
+            raise ValueError("a '#' in the body, which the reader rejects")
         if any(body):  # on a body of empty lines loadtxt warns instead of raising
             rows = np.loadtxt(body, dtype=float, delimiter=",", comments=None, ndmin=2)
         if rows.shape[1] != 2:

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from n2sr import config
+from n2sr import cli, config
 from n2sr.cli import _parse_pressures, main
 from n2sr.constants import ps_to_s
 from n2sr.profiles import synthesize_sech2_trace, write_trace_csv
@@ -220,6 +220,18 @@ class TestPressureScan:
         assert main(["pressure-scan", "--out", str(b)]) == 0
         assert (a / "pressure_scan.csv").read_bytes() == (b / "pressure_scan.csv").read_bytes()
 
+    def test_non_finite_column_exits_2(self, tmp_path, capsys):
+        """tau_2 near the float maximum overflows in ps: one line, no warning, no CSV."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["pressure-scan", "--set", "v_e_cm_s=1e-300", "--out", str(tmp_path)])
+        assert code == 2
+        assert caught == []
+        out, err = capsys.readouterr()
+        assert err == "numerical failure: scan column 'dephasing_ps' is inf at p = 6.0 mbar\n"
+        assert out == ""
+        assert not (tmp_path / "pressure_scan.csv").exists()
+
 
 class TestFit:
     def make_traces(self, directory):
@@ -313,6 +325,45 @@ class TestValidate:
 
     def test_unknown_corrupt_name_exits_1(self, tmp_path):
         assert main(["validate", "--corrupt", "bogus", "--out", str(tmp_path)]) == 1
+
+    def test_overflowing_margin_passes_quietly(self, tmp_path, capsys):
+        """An infinite dephasing margin is valid; validate reports it without a warning."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["validate", "--set", "v_e_cm_s=1e-300", "--out", str(tmp_path)])
+        assert code == 0
+        assert caught == []
+        assert "anchor margin = inf" in capsys.readouterr().out
+
+
+class TestParserReuse:
+    """main() builds the argparse tree once per process; no parse leaves state in it."""
+
+    def test_one_parser_for_every_call(self, tmp_path, monkeypatch):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        cli._build_parser.cache_clear()
+        assert main(["validate", "--out", str(tmp_path)]) == 0
+        assert main(["validate", "--set", "w0=0.2", "--out", str(tmp_path)]) == 0
+        # The root parser and its five subparsers, once.
+        assert len(built) == 6
+
+    def test_overrides_do_not_carry_over(self, tmp_path, capsys):
+        names = ["bloch_trajectory.csv", "seed_summary.txt", "run-manifest.txt"]
+        cli._build_parser.cache_clear()
+        assert main(["seed-phase", "--out", str(tmp_path)]) == 0
+        fresh = [capsys.readouterr()] + [(tmp_path / n).read_bytes() for n in names]
+        assert main(["seed-phase", "--set", "w0=0.2", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr() != fresh[0]
+        assert main(["seed-phase", "--out", str(tmp_path)]) == 0
+        again = [capsys.readouterr()] + [(tmp_path / n).read_bytes() for n in names]
+        assert again == fresh
 
 
 class TestArithmeticFailures:

@@ -144,11 +144,27 @@ def test_subnormal_seed_duration_rejected():
     x = sys.float_info.min / 1e-12
     while ps_to_s(x) < sys.float_info.min:
         x = math.nextafter(x, math.inf)
-    assert load_config(overrides=[f"tau_s_ps={x!r}"]).tau_s_ps == x
+    # A step of one tau_s keeps the seed step normal too, which the default 5e-4 does not.
+    assert load_config(overrides=[f"tau_s_ps={x!r}", "dt_over_tau_s=1.0"]).tau_s_ps == x
     with pytest.raises(ConfigError, match="config key 'tau_s_ps' is .* below the smallest normal"):
         load_config(overrides=[f"tau_s_ps={math.nextafter(x, 0.0)!r}"])
     with pytest.raises(ConfigError, match="tau_s_ps"):
         load_config(overrides=["tau_s_ps=1e-300"])
+
+
+def test_subnormal_seed_step_rejected():
+    """dt_over_tau_s is accepted down to a normal seed step in seconds, and no further."""
+    tau_s_ps = 1e-295  # tau_s = 1e-307 s, so the boundary lies near 0.22, above the step cap
+    x = sys.float_info.min / ps_to_s(tau_s_ps)
+    while x * ps_to_s(tau_s_ps) < sys.float_info.min:
+        x = math.nextafter(x, math.inf)
+    while math.nextafter(x, 0.0) * ps_to_s(tau_s_ps) >= sys.float_info.min:
+        x = math.nextafter(x, 0.0)
+    cfg = load_config(overrides=[f"tau_s_ps={tau_s_ps!r}", f"dt_over_tau_s={x!r}"])
+    assert dt_seconds(cfg) >= sys.float_info.min
+    below = math.nextafter(x, 0.0)
+    with pytest.raises(ConfigError, match="config key 'dt_over_tau_s' is .* below the smallest normal"):
+        load_config(overrides=[f"tau_s_ps={tau_s_ps!r}", f"dt_over_tau_s={below!r}"])
 
 
 class TestStepCap:

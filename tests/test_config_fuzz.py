@@ -8,8 +8,8 @@ no exception escaping, and a non-zero exit must leave exactly one stderr line.
 Step-count keys are drawn so that each RK4 oracle runs at most about 1e5
 steps when the config is accepted: tau_r_over_tau_s <= 50 with
 dt_over_tau_s >= 5e-4 bounds the seed stage, and pendulum_dt_over_tau_w
->= 1e-4 bounds each pendulum case at 10 / 1e-4 steps, and twice that for
-its run at half the step. Smaller step sizes are drawn only as extremes,
+>= 1e-4 bounds each pendulum case at 10 / 1e-4 steps, and half that for
+its run at twice the step. Smaller step sizes are drawn only as extremes,
 which the 1e6-step cap rejects at parse time.
 Grid keys stay at or below 5000 points, or just past the grid cap.
 """

@@ -337,6 +337,25 @@ class TestTraceCsv:
         assert (a.pressure, b.pressure) == (8.0, 9.5)  # the last pressure line wins
         assert np.array_equal(a.t, b.t) and np.array_equal(a.intensity, b.intensity)
 
+    def test_comment_in_body_skips_the_bulk_reader(self, tmp_path, monkeypatch):
+        """A '#' in the body goes straight to the line walk; one above the header does not."""
+        tr = synthesize_sech2_trace(1.0, ps_to_s(5.0), ps_to_s(1.0), 0.0, ps_to_s(10.0), 64, 8.0)
+        clean = tmp_path / "clean.csv"
+        write_trace_csv(clean, tr)  # '# pressure_mbar=8.0' above the header
+        lines = clean.read_text().splitlines()
+        lines[30:30] = ["# note"]
+        noted = tmp_path / "noted.csv"
+        noted.write_text("\n".join(lines) + "\n")
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
+        a = read_trace_csv(clean)
+        assert len(calls) == 1
+        b = read_trace_csv(noted)
+        assert len(calls) == 1
+        assert a.pressure == b.pressure == 8.0
+        assert np.array_equal(a.t, b.t) and np.array_equal(a.intensity, b.intensity)
+
     def test_bulk_parse_matches_line_loop(self, tmp_path):
         """Bit for bit against a plain per-line float() parse, spaces and CRLF included."""
         rng = np.random.default_rng(5)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from n2sr import config, validation
-from n2sr.superradiance import characteristic_duration
+from n2sr.superradiance import characteristic_duration, solve_after_seed
 from n2sr.validation import run_validation_checks
 
 EXPECTED_CHECKS = [
@@ -111,7 +111,40 @@ NARROW_BURST = {"anchor_tau_w_ps": 2.56e-5, "w0": -1.0, "validity_threshold": 1.
 
 
 class TestPendulumOrder:
-    """The pendulum oracle runs at h and h/2 and gates the observed order."""
+    """The pendulum oracle runs at 2h and h and gates the observed order."""
+
+    def test_runs_at_2h_and_h_bound_the_h_run(self, cfg, monkeypatch):
+        """Eight runs of 6 000 steps in all; the reported error is the worst h-run error."""
+        integrate = validation.integrate_pendulum
+        runs = []
+
+        def spy(theta_r, tau_r, medium, t_end, dt):
+            t, theta = integrate(theta_r, tau_r, medium, t_end, dt)
+            runs.append((theta_r, medium, dt, t, theta))
+            return t, theta
+
+        monkeypatch.setattr(validation, "integrate_pendulum", spy)
+        sol = config.reference_solution(cfg)
+        result = validation._check_pendulum(cfg, sol)
+        assert len(runs) == 8
+        assert sum(len(t) - 1 for *_, t, _ in runs) == 6000
+        h_errors = []
+        for coarse, (theta_r, medium, dt, t, theta) in zip(runs[::2], runs[1::2]):
+            assert coarse[2] == 2.0 * dt
+            case = solve_after_seed(medium, theta_r, sol.tau_r)
+            h_errors.append(float(np.max(np.abs(theta - case.bloch_angle(t)))))
+        error, _ = error_and_orders(result.detail)
+        assert result.passed
+        assert f"{error:.3e}" == f"{max(h_errors):.3e}"
+
+    def test_coarse_run_is_not_bounded(self, cfg):
+        """At h = 0.05 tau_W the 2h error is about 1.5e-6 rad; only e_h meets the 1e-7 bound."""
+        coarse = dataclasses.replace(cfg, pendulum_dt_over_tau_w=0.05)
+        result = validation._check_pendulum(coarse, config.reference_solution(coarse))
+        error, orders = error_and_orders(result.detail)
+        assert result.passed, result.detail
+        assert 1e-8 < error <= 1e-7
+        assert all(abs(float(order) - 4.0) <= 0.1 for order in orders), orders
 
     def test_default_orders_are_four(self, cfg):
         result = by_name(run_validation_checks(cfg))["pendulum-closed-form"]
