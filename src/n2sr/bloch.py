@@ -69,22 +69,11 @@ def rabi_frequency_peak(pulse: SeedPulse, medium: TwoLevelMedium) -> float:
     return medium.mu * pulse.E0 / CONSTANTS.hbar
 
 
-def _resolve_envelope(pulse: SeedPulse, envelope: Optional[Callable]) -> Callable:
-    return pulse.field_envelope if envelope is None else envelope
-
-
-def bloch_angle(
-    pulse: SeedPulse,
-    medium: TwoLevelMedium,
-    t: float,
-    dt: Optional[float] = None,
-    envelope: Optional[Callable] = None,
-) -> float:
+def bloch_angle(pulse: SeedPulse, medium: TwoLevelMedium, t: float, dt: Optional[float] = None) -> float:
     """Accumulated pulse area theta(t) via composite Simpson quadrature.
 
     The interval [0, t] is split into an even number of panels no wider than
-    dt (default tau_s / 2000). The envelope callable must accept arrays;
-    by default the pulse's own Gaussian envelope is used.
+    dt (default tau_s / 2000) over the pulse's Gaussian envelope.
     """
     if t < 0.0:
         raise ValueError("t must be non-negative")
@@ -94,12 +83,11 @@ def bloch_angle(
         dt = pulse.tau_s / STEPS_PER_TAU_S
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    f = _resolve_envelope(pulse, envelope)
     n = max(2, math.ceil(t / dt))
     if n % 2:
         n += 1
     x = np.linspace(0.0, t, n + 1)
-    fx = np.asarray(f(x), dtype=float)
+    fx = np.asarray(pulse.field_envelope(x), dtype=float)
     h = t / n
     area = (h / 3.0) * (fx[0] + fx[-1] + 4.0 * fx[1:-1:2].sum() + 2.0 * fx[2:-1:2].sum())
     return float(rabi_frequency_peak(pulse, medium) * area)
@@ -146,7 +134,7 @@ def integrate_bloch_rwa(
         raise ValueError("dt must be positive")
     if dt >= t_end:
         raise ValueError("dt must be smaller than t_end")
-    f = _resolve_envelope(pulse, envelope)
+    f = pulse.field_envelope if envelope is None else envelope
     n = max(1, math.ceil(t_end / dt - 1e-12))
     h = t_end / n
 

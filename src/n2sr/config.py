@@ -34,18 +34,15 @@ from .superradiance import SuperradianceSolution, solve_from_seed
 from .system import SeedPulse, TwoLevelMedium
 
 
-# Largest RK4 step count a config may ask of either oracle. The seed kernel
-# holds about ten complex temporaries per step, so this bounds its memory
-# before anything is allocated.
+# Largest RK4 step count a config may ask of the seed kernel. It holds about
+# ten complex temporaries per step, so this bounds its memory before anything
+# is allocated.
 MAX_RK4_STEPS = 10**6
 
 # Largest profile or regime grid a config may ask for. Each grid point is
 # one CSV row in every file written on that grid, so this bounds the arrays
 # and the output before anything is allocated.
 MAX_GRID_POINTS = 10**6
-
-# The pendulum oracle integrates over this many tau_W past the handover.
-PENDULUM_SPAN_TAU_W = 10.0
 
 
 class ConfigError(ValueError):
@@ -76,7 +73,6 @@ class RunConfig:
     ionization_fraction: float = 0.1
     # numerics
     dt_over_tau_s: float = 5e-4
-    pendulum_dt_over_tau_w: float = 1e-2
     window_tau_w: float = 20.0
     profile_points: int = 2001
     regime_span_tau_w: float = 10.0
@@ -186,20 +182,15 @@ def validate_config(cfg: RunConfig) -> None:
             f"config key 'tau_s_ps' is {cfg.tau_s_ps!r} ps, below the smallest normal "
             f"double in seconds ({sys.float_info.min!r} s)"
         )
-    for key in ("dt_over_tau_s", "pendulum_dt_over_tau_w", "window_tau_w",
-                "regime_span_tau_w", "fit_tol", "validity_threshold", "radius_um"):
+    for key in ("dt_over_tau_s", "window_tau_w", "regime_span_tau_w", "fit_tol",
+                "validity_threshold", "radius_um"):
         if not getattr(cfg, key) > 0.0:
             raise ConfigError(f"config key '{key}' must be positive")
-    for key, steps in (
-        ("dt_over_tau_s", cfg.tau_r_over_tau_s / cfg.dt_over_tau_s),
-        # The pendulum oracle runs at h and 2h, 1.5 span / h steps together;
-        # counting 2 span / h keeps the accepted range (down to 2e-5).
-        ("pendulum_dt_over_tau_w", 2.0 * PENDULUM_SPAN_TAU_W / cfg.pendulum_dt_over_tau_w),
-    ):
-        if steps > MAX_RK4_STEPS:
-            raise ConfigError(
-                f"config key '{key}' asks for {steps:.3g} RK4 steps; the limit is {MAX_RK4_STEPS}"
-            )
+    steps = cfg.tau_r_over_tau_s / cfg.dt_over_tau_s
+    if steps > MAX_RK4_STEPS:
+        raise ConfigError(
+            f"config key 'dt_over_tau_s' asks for {steps:.3g} RK4 steps; the limit is {MAX_RK4_STEPS}"
+        )
     # The seed step as well: a normal tau_s times dt_over_tau_s < 1 can be subnormal.
     if dt_seconds(cfg) < sys.float_info.min:
         raise ConfigError(

@@ -26,8 +26,7 @@ from .constants import (
     s_to_ps,
     w_per_m2_to_w_per_cm2,
 )
-from .csvio import write_columns
-from .errors import NumericalError
+from .csvio import finite_columns, write_columns
 from .superradiance import characteristic_duration, peak_intensity, time_delay
 from .system import SeedPulse, TwoLevelMedium
 
@@ -322,19 +321,10 @@ def write_scan_csv(path, scan: ScanTable) -> None:
     A column that is not finite in those units raises NumericalError, naming
     the column and its first such pressure, before the file is opened.
     """
-    # The unit conversions may overflow; the check below reports it.
-    with np.errstate(over="ignore"):
-        columns = [
-            scan.p_mbar, per_m3_to_per_cm3(scan.N), s_to_ps(scan.tau_W), s_to_ps(scan.tau_D),
-            # theta_r is one value: format it once, not once per row.
-            [repr(scan.theta_r)] * len(scan), w_per_m2_to_w_per_cm2(scan.I_peak),
-            scan.I_peak_norm, scan.E_total, scan.E_total_norm, scan.E_total_integral,
-            s_to_ps(scan.dephasing), scan.validity_margin,
-        ]
-    for name, col in zip(SCAN_CSV_HEADER.split(","), columns):
-        if isinstance(col, np.ndarray) and not np.isfinite(col).all():
-            i = int(np.argmin(np.isfinite(col)))
-            raise NumericalError(
-                f"scan column '{name}' is {col[i].item()!r} at p = {scan.p_mbar[i].item()!r} mbar"
-            )
-    write_columns(path, SCAN_CSV_HEADER, columns)
+    write_columns(path, SCAN_CSV_HEADER, finite_columns("scan", SCAN_CSV_HEADER, lambda: [
+        scan.p_mbar, per_m3_to_per_cm3(scan.N), s_to_ps(scan.tau_W), s_to_ps(scan.tau_D),
+        # theta_r is one value: format it once, not once per row.
+        [repr(scan.theta_r)] * len(scan), w_per_m2_to_w_per_cm2(scan.I_peak),
+        scan.I_peak_norm, scan.E_total, scan.E_total_norm, scan.E_total_integral,
+        s_to_ps(scan.dephasing), scan.validity_margin,
+    ], lambda i: f"p = {scan.p_mbar[i].item()!r} mbar"))

@@ -28,7 +28,7 @@ import numpy as np
 
 from .bloch import bloch_angle
 from .constants import CONSTANTS, s_to_ps
-from .csvio import write_columns
+from .csvio import finite_columns, write_columns
 from .errors import NumericalError
 from .profiles import sech2_profile
 from .system import SeedPulse, TwoLevelMedium
@@ -150,16 +150,14 @@ class SuperradianceSolution:
     tau_W: float     # burst width parameter, s
     tau_D: float     # burst peak time, s
     P0: float        # peak emitted power density, W/m^3
-    I0: float        # peak emitted intensity P0 * L, W/m^2
-    regime: Regime
 
     def __post_init__(self) -> None:
         if not self.tau_W > 0.0:
             raise ValueError("tau_W must be positive")
-        if self.I0 != self.P0 * self.medium.L:
-            raise ValueError("I0 must equal P0 * L")
-        if self.regime != classify_regime(self.medium.w0, self.theta_r):
-            raise ValueError("regime tag inconsistent with (w0, theta_r)")
+
+    @property
+    def regime(self) -> Regime:
+        return classify_regime(self.medium.w0, self.theta_r)
 
     def _x(self, t):
         return _branch(self.medium.w0) * (np.asarray(t, dtype=float) - self.tau_D) / self.tau_W
@@ -207,7 +205,7 @@ def solve_after_seed(medium: TwoLevelMedium, theta_r: float, tau_r: float) -> Su
     value of 0 or inf means the peak left the floating-point range: that
     raises NumericalError rather than hand on a burst with no signal.
     """
-    regime = classify_regime(medium.w0, theta_r)
+    classify_regime(medium.w0, theta_r)  # rejects the degenerate w0 and angles
     tau_w = characteristic_duration(medium)
     tau_d = time_delay(medium, theta_r, tau_r)
     try:
@@ -227,8 +225,6 @@ def solve_after_seed(medium: TwoLevelMedium, theta_r: float, tau_r: float) -> Su
         tau_W=tau_w,
         tau_D=tau_d,
         P0=p0,
-        I0=i0,
-        regime=regime,
     )
 
 
@@ -329,12 +325,8 @@ def write_profile_csv(path, sol: SuperradianceSolution, t: Optional[np.ndarray] 
     if t is None:
         t = sol.time_grid()
     t = np.asarray(t, dtype=float)
-    write_columns(
-        path,
-        "t_ps,theta_rad,energy_density_J_m3,power_W_m3,intensity_W_m2,field_V_m",
-        [
-            s_to_ps(t), sol.bloch_angle(t), energy_density(t, sol),
-            emitted_power_density(t, sol), emitted_intensity(t, sol),
-            emitted_field_envelope(t, sol),
-        ],
-    )
+    header = "t_ps,theta_rad,energy_density_J_m3,power_W_m3,intensity_W_m2,field_V_m"
+    write_columns(path, header, finite_columns("profile", header, lambda: [
+        s_to_ps(t), sol.bloch_angle(t), energy_density(t, sol),
+        emitted_power_density(t, sol), emitted_intensity(t, sol), emitted_field_envelope(t, sol),
+    ], lambda i: f"t = {t[i].item()!r} s"))

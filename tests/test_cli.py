@@ -136,6 +136,24 @@ class TestRegimes:
         profile = read_csv(tmp_path / "profile.csv")
         assert floats(profile, "power_W_m3")[0] == floats(profile, "power_W_m3")[-1] == 0.0
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("regime_span_tau_w=1.7e308", "regime 1 column 't_ps' is inf at t_rel_tau_W = 1.0795e+308"),
+            ("window_tau_w=1.7e308", "profile column 't_ps' is -inf at t = -2.8322000000000005e+296 s"),
+        ],
+    )
+    def test_non_finite_column_exits_2(self, tmp_path, capsys, override, message):
+        """Times past the float range in ps: one line naming the column, no warning,
+        and no CSV written, as every column is checked before the first file."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["regimes", "--set", override, "--out", str(tmp_path)])
+        assert code == 2
+        assert caught == []
+        assert capsys.readouterr() == ("", f"numerical failure: {message}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["run-manifest.txt"]
+
     def test_too_strong_seed_rejected(self, tmp_path):
         code = main(
             [

@@ -7,7 +7,6 @@ import pytest
 from n2sr.config import (
     MAX_GRID_POINTS,
     MAX_RK4_STEPS,
-    PENDULUM_SPAN_TAU_W,
     ConfigError,
     RunConfig,
     calibration,
@@ -170,19 +169,11 @@ def test_subnormal_seed_step_rejected():
 class TestStepCap:
     """RK4 step counts are bounded at parse time, before any kernel allocates."""
 
-    @pytest.mark.parametrize(
-        "key, span",
-        [
-            ("dt_over_tau_s", RunConfig().tau_r_over_tau_s),
-            ("pendulum_dt_over_tau_w", PENDULUM_SPAN_TAU_W),
-        ],
-    )
+    @pytest.mark.parametrize("key, span", [("dt_over_tau_s", RunConfig().tau_r_over_tau_s)])
     def test_cap_names_the_key(self, key, span):
-        # The pendulum oracle also runs at half the step, so it takes twice the steps.
-        steps_per_unit = 2.0 * span if key == "pendulum_dt_over_tau_w" else span
-        load_config(overrides=[f"{key}={2.0 * steps_per_unit / MAX_RK4_STEPS!r}"])
+        load_config(overrides=[f"{key}={2.0 * span / MAX_RK4_STEPS!r}"])
         with pytest.raises(ConfigError, match=key):
-            load_config(overrides=[f"{key}={0.5 * steps_per_unit / MAX_RK4_STEPS!r}"])
+            load_config(overrides=[f"{key}={0.5 * span / MAX_RK4_STEPS!r}"])
 
     def test_seed_cap_follows_tau_r(self):
         cfg = load_config(overrides=["dt_over_tau_s=1e-5"])
@@ -253,6 +244,12 @@ def test_resolved_items_cover_every_field():
     assert len(items) == len(cfg.__dataclass_fields__)
     assert items["w0"] == 0.1
     assert items["out_dir"] == "out"
+
+
+def test_pendulum_step_is_not_a_config_key():
+    """The pendulum oracle's step belongs to the check, not to the config."""
+    with pytest.raises(ConfigError, match="unknown config key 'pendulum_dt_over_tau_w'"):
+        load_config(overrides=["pendulum_dt_over_tau_w=0.01"])
 
 
 def test_validate_config_direct():

@@ -5,12 +5,11 @@ extremes down to 1e-300 and up to 1e300) and runs seed-phase, regimes,
 pressure-scan and validate in-process. Each must return 0, 1, 2 or 3 with
 no exception escaping, and a non-zero exit must leave exactly one stderr line.
 
-Step-count keys are drawn so that each RK4 oracle runs at most about 1e5
+Step-count keys are drawn so that the seed RK4 runs at most about 1e5
 steps when the config is accepted: tau_r_over_tau_s <= 50 with
-dt_over_tau_s >= 5e-4 bounds the seed stage, and pendulum_dt_over_tau_w
->= 1e-4 bounds each pendulum case at 10 / 1e-4 steps, and half that for
-its run at twice the step. Smaller step sizes are drawn only as extremes,
-which the 1e6-step cap rejects at parse time.
+dt_over_tau_s >= 5e-4. Smaller step sizes are drawn only as extremes,
+which the 1e6-step cap rejects at parse time. The pendulum oracle's step
+is fixed by the check, not by the config.
 Grid keys stay at or below 5000 points, or just past the grid cap.
 """
 
@@ -58,7 +57,6 @@ VALUES.update(
     theta_strong_over_pi=bounded(0.0, 1.2),
     tau_r_over_tau_s=bounded(0.01, 50.0),
     dt_over_tau_s=bounded(5e-4, 10.0),
-    pendulum_dt_over_tau_w=bounded(1e-4, 10.0),
     profile_points=points(),
     regime_points=points(),
     fit_max_iter=st.integers(min_value=-2, max_value=1000),

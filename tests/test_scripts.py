@@ -11,3 +11,20 @@ def test_profile_roundtrip_recovers_the_measured_grid(capsys):
     last = capsys.readouterr().out.splitlines()[-1]
     assert last.startswith("worst relative error: ")
     assert float(last.split(":")[1]) < 1e-8
+
+
+def test_golden_outputs_lists_every_output(tmp_path, capsys):
+    lines = runpy.run_path(str(SCRIPTS / "golden_outputs.py"))["main"]([str(tmp_path)])
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
+    files = [line.split("  ")[2] for line in lines]
+    assert files == sorted(files)
+    for name in (
+        "seed-phase/bloch_trajectory.csv", "regimes/regime4.csv", "validate/validate_report.txt",
+        "pressure-scan/pressure_scan.csv", "pressure-scan-list/pressure_scan.csv",
+        "fit/fits.csv", "fit/pulse_summary.csv",
+    ):
+        assert name in files
+    assert not any(name.endswith("run-manifest.txt") for name in files)
+    rows = {name: int(line.split("  ")[1]) for name, line in zip(files, lines)}
+    assert rows["pressure-scan-list/pressure_scan.csv"] == 12  # header and 11 pressures
+    assert rows["fit/fits.csv"] == 6  # header and five traces

@@ -195,7 +195,6 @@ class TestSolution:
         assert sol8.tau_W == pytest.approx(1.666e-12, rel=1e-12)
         assert sol8.tau_D == pytest.approx(TAU_D8, rel=1e-12)
         assert sol8.P0 == pytest.approx(P0_8, rel=1e-12)
-        assert sol8.I0 == sol8.P0 * anchor_medium.L
 
     def test_solve_from_seed_matches_two_stage(self, seed, anchor_medium):
         sol = solve_from_seed(seed, anchor_medium)
@@ -239,17 +238,11 @@ class TestSolution:
         with pytest.raises(NumericalError, match="burst peak P0 = "):
             solve_after_seed(m, THETA_R, TAU_R)
 
-    def test_inconsistent_fields_rejected(self, sol8):
-        with pytest.raises(ValueError):
-            dataclasses.replace(sol8, I0=2.0 * sol8.I0)
-        with pytest.raises(ValueError):
-            dataclasses.replace(sol8, regime=Regime.INVERTED_STRONG_SEED)
-
 
 class TestEmission:
     def test_peak_value_and_place(self, sol8):
         assert emitted_power_density(sol8.tau_D, sol8) == sol8.P0
-        assert emitted_intensity(sol8.tau_D, sol8) == sol8.I0
+        assert emitted_intensity(sol8.tau_D, sol8) == sol8.P0 * sol8.medium.L
 
     def test_half_maximum_at_half_width_points(self, sol8):
         """sech^2 falls to half its peak at tau_D +- arccosh(sqrt 2) tau_W."""

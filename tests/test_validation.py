@@ -1,9 +1,11 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 
-from n2sr import config, validation
+from n2sr import bloch, config, validation
+from n2sr.cli import main
 from n2sr.superradiance import characteristic_duration, solve_after_seed
 from n2sr.validation import run_validation_checks
 
@@ -137,10 +139,10 @@ class TestPendulumOrder:
         assert result.passed
         assert f"{error:.3e}" == f"{max(h_errors):.3e}"
 
-    def test_coarse_run_is_not_bounded(self, cfg):
+    def test_coarse_run_is_not_bounded(self, cfg, monkeypatch):
         """At h = 0.05 tau_W the 2h error is about 1.5e-6 rad; only e_h meets the 1e-7 bound."""
-        coarse = dataclasses.replace(cfg, pendulum_dt_over_tau_w=0.05)
-        result = validation._check_pendulum(coarse, config.reference_solution(coarse))
+        monkeypatch.setattr(validation, "PENDULUM_STEP_TAU_W", 0.05)
+        result = validation._check_pendulum(cfg, config.reference_solution(cfg))
         error, orders = error_and_orders(result.detail)
         assert result.passed, result.detail
         assert 1e-8 < error <= 1e-7
@@ -198,7 +200,6 @@ class TestPendulumOrder:
         assert validation._observed_order([16e-10, 1e-10], [34, 67]) == pytest.approx(4.0874, rel=1e-4)
         assert validation._observed_order([16e-13, 1e-13], [1000, 2000]) is None
         assert validation._observed_order([16e-10, 1e-10], [1000, 2000], floor=1e-9) is None
-        assert validation._observed_order([1e-3, 1e-3], [1, 1]) is None
         assert validation._order_ok(None) and validation._order_ok(4.49)
         assert not validation._order_ok(3.49)
 
@@ -221,6 +222,52 @@ class TestSeedOrder:
         assert result.passed, result.detail
         _, orders = error_and_orders(result.detail)
         assert abs(float(orders[0]) - 4.0) <= 0.05
+
+    def test_every_node_of_the_configured_run_is_checked(self, cfg, monkeypatch):
+        """A 1e-6 defect at node 7 alone, far from any of nine evenly spaced nodes, fails."""
+        integrate = validation.integrate_bloch_rwa
+        runs = []
+
+        def perturbed(seed, medium, t_end, dt):
+            traj = integrate(seed, medium, t_end=t_end, dt=dt)
+            runs.append(dt)
+            if len(runs) > 1:  # the order runs stay exact
+                return traj
+            v = traj.v.copy()
+            v[7] += 1e-6
+            return dataclasses.replace(traj, v=v)
+
+        monkeypatch.setattr(validation, "integrate_bloch_rwa", perturbed)
+        _, closed_form = validation._check_bloch(cfg)
+        error, orders = error_and_orders(closed_form.detail)
+        assert runs[0] == config.dt_seconds(cfg)
+        assert not closed_form.passed
+        assert error == pytest.approx(1e-6, rel=1e-6)
+        assert abs(float(orders[0]) - 4.0) <= 0.05
+
+    def test_reference_sees_the_seed_quadrature_error(self, cfg):
+        """At dt_over_tau_s = 0.32 and 1 MW/cm^2 the seed run is about 7e-8 from the
+        closed form; a reference on the kernel's own nodes would read about 2e-9."""
+        coarse = dataclasses.replace(cfg, dt_over_tau_s=0.32, seed_intensity_mw_cm2=1.0)
+        _, closed_form = validation._check_bloch(coarse)
+        error, _ = error_and_orders(closed_form.detail)
+        assert not closed_form.passed
+        assert 3e-8 < error < 2e-7
+
+    def test_validate_calls_bloch_angle_twice(self, tmp_path, monkeypatch):
+        """Once for the reference burst and once for the scan; the seed check calls it never."""
+        original = bloch.bloch_angle
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("n2sr") and getattr(module, "bloch_angle", None) is original:
+                monkeypatch.setattr(module, "bloch_angle", spy)
+        assert main(["validate", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 2
 
     def test_third_order_kernel_fails(self, cfg, monkeypatch):
         """An h^3 defect far below 1e-8 at the configured step fails on its order."""
