@@ -4,8 +4,10 @@
 
 Each run writes into its own subdirectory of OUTDIR: seed-phase, regimes,
 validate, pressure-scan over the default pressures and over a second list,
-and fit over five synthetic traces (written first, under OUTDIR/traces). Then
-one line per file is printed, sorted by path:
+fit over five synthetic traces, and fit over one trace the fitter stops on
+without converging, so the gate also runs its rejected-step path (the traces
+are written first, under OUTDIR/traces). Then one line per file is printed,
+sorted by path:
 
     sha256  rows  file
 
@@ -47,8 +49,25 @@ def write_traces(outdir: Path) -> list[str]:
     return paths
 
 
+def write_stuck_trace(outdir: Path) -> str:
+    """A 14 mbar trace over +-6 FWHM with 0.3 % uniform noise. The fitter ends
+    it with converged=False: from its floating-point minimum every step is
+    rejected until the damping passes 1e15."""
+    p, fw_ps, delay_ps = MEASURED_PULSE_WIDTH_DELAY_PS[5]
+    delay, window = ps_to_s(delay_ps), 6.0 * ps_to_s(fw_ps)
+    clean = synthesize_sech2_trace(
+        1.0, delay, ps_to_s(fw_ps) / SECH2_FWHM_NOMINAL, delay - window, delay + window, 3001
+    )
+    rng = np.random.default_rng(0)
+    noisy = np.clip(clean.intensity + 0.003 * rng.uniform(-1.0, 1.0, clean.t.size), 0.0, None)
+    path = outdir / "stuck_14mbar.csv"
+    write_trace_csv(path, TemporalTrace(t=clean.t, intensity=noisy, pressure=p))
+    return str(path)
+
+
 def run_all(outdir: Path) -> None:
     traces = write_traces(outdir / "traces")
+    stuck = write_stuck_trace(outdir / "traces")
     runs = {
         "seed-phase": ["seed-phase"],
         "regimes": ["regimes"],
@@ -56,6 +75,7 @@ def run_all(outdir: Path) -> None:
         "pressure-scan": ["pressure-scan"],
         "pressure-scan-list": ["pressure-scan", "--pressures", SECOND_PRESSURES],
         "fit": ["fit", *traces],
+        "fit-stuck": ["fit", stuck],
     }
     for name, argv in runs.items():
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:

@@ -22,7 +22,7 @@ from . import config as cfgmod
 from .bloch import bloch_angle, integrate_bloch_rwa
 from .config import ConfigError, RunConfig, load_config, resolved_items
 from .constants import per_m3_to_per_cm3, s_to_ps
-from .csvio import finite_columns, write_columns
+from .csvio import finite_columns, write_columns, write_tables
 from .errors import NumericalError
 from .pressure import REFERENCE_DENSITY_SLOPE_PER_CM3_MBAR, write_scan_csv
 from .profiles import (
@@ -149,19 +149,27 @@ def cmd_regimes(cfg: RunConfig, outdir: Path) -> int:
     grid = np.unique(np.concatenate([grid, np.asarray(peaks)]))
 
     # Every column is checked before the first file is written, so a command
-    # that fails leaves no output behind.
+    # that fails leaves no output behind. tau_W depends only on |w0|, so the
+    # four panels share one time grid and its two columns.
     header = "t_ps,t_rel_tau_W,theta_rad,w,P_over_P0"
-    panels = []
-    for idx, sol in enumerate(solutions, start=1):
-        t = tau_r + grid * sol.tau_W
-        panels.append(finite_columns(f"regime {idx}", header, lambda: [
-            s_to_ps(t), grid, sol.bloch_angle(t), sol.population_difference(t),
-            sech2_profile(t, 1.0, sol.tau_D, sol.tau_W),
-        ], lambda i: f"t_rel_tau_W = {grid[i].item()!r}"))
+    t = tau_r + grid * weak.tau_W
+
+    def row(i):
+        return f"t_rel_tau_W = {grid[i].item()!r}"
+
+    shared = finite_columns("regime 1", "t_ps,t_rel_tau_W", lambda: [s_to_ps(t), grid], row)
+    tables = [
+        (outdir / f"regime{idx}.csv", header, shared + finite_columns(
+            f"regime {idx}", "theta_rad,w,P_over_P0", lambda: [
+                sol.bloch_angle(t), sol.population_difference(t),
+                sech2_profile(t, 1.0, sol.tau_D, sol.tau_W),
+            ], row))
+        for idx, sol in enumerate(solutions, start=1)
+    ]
     # write_profile_csv checks its columns before it opens the file.
     write_profile_csv(outdir / "profile.csv", weak, weak.time_grid(cfg.window_tau_w, cfg.profile_points))
-    for idx, (sol, columns) in enumerate(zip(solutions, panels), start=1):
-        write_columns(outdir / f"regime{idx}.csv", header, columns)
+    write_tables(tables)
+    for idx, sol in enumerate(solutions, start=1):
         print(
             f"regime {idx} ({sol.regime.name.lower().replace('_', ' ')}): "
             f"tau_D - tau_r = {(sol.tau_D - sol.tau_r) / sol.tau_W:+.3f} tau_W"

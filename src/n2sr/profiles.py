@@ -148,27 +148,25 @@ def _peak_index(trace: TemporalTrace) -> int:
 def extract_fwhm(trace: TemporalTrace) -> float:
     """Full width at half maximum by linear interpolation of the crossings.
 
-    Walks outward from the global maximum to the first sample below half
-    maximum on each side and interpolates the crossing time linearly, so
+    On each side of the global maximum the crossing lies between the nearest
+    sample below half maximum and its neighbour towards the peak, so
     secondary structure further out cannot disturb the width.
     """
     i = _peak_index(trace)
     t, y = trace.t, trace.intensity
     half = 0.5 * y[i]
+    below = y < half
 
-    j = i
-    while j > 0 and y[j] >= half:
-        j -= 1
-    if y[j] >= half:
+    left = np.flatnonzero(below[:i])
+    if not left.size:
         raise NotAPulseError(f"trace '{trace.label}' has no left half-maximum crossing")
+    j = left[-1]
     t_left = t[j] + (half - y[j]) * (t[j + 1] - t[j]) / (y[j + 1] - y[j])
 
-    j = i
-    last = len(y) - 1
-    while j < last and y[j] >= half:
-        j += 1
-    if y[j] >= half:
+    right = np.flatnonzero(below[i + 1:])
+    if not right.size:
         raise NotAPulseError(f"trace '{trace.label}' has no right half-maximum crossing")
+    j = i + 1 + right[0]
     t_right = t[j - 1] + (half - y[j - 1]) * (t[j] - t[j - 1]) / (y[j] - y[j - 1])
 
     return float(t_right - t_left)
@@ -212,7 +210,9 @@ def fit_sech2(
     The trace is baseline-subtracted (median of the lowest decile) first.
     Minimization is damped Gauss-Newton with an analytic Jacobian and a
     multiplicative damping schedule: lambda starts at 1e-3, grows tenfold on
-    a rejected step and shrinks tenfold on an accepted one. Convergence is
+    a rejected step and shrinks tenfold on an accepted one. Each trial point
+    is evaluated once, and the normal equations are built once per accepted
+    point and kept across the rejected steps that follow it. Convergence is
     declared when the relative parameter step falls below `tol` (default
     1e-8) within `max_iter` iterations; otherwise the best parameters so far
     are returned with converged=False. The tau_D step is taken relative to
@@ -243,26 +243,32 @@ def fit_sech2(
         if not p[2] > 0.0:
             raise ValueError("initial tau_W must be positive")
 
-    def residual(params):
-        return y - sech2_profile(t, *params)
-
-    def jacobian(params):
+    def evaluate(params):
+        """The residual at params, with the x = (t - tau_D)/tau_W and cosh(x)^2
+        it came from. Far from tau_D cosh(x)^2 overflows to inf and the model
+        to its limit 0."""
         a, tau_d, tau_w = params
         x = (t - tau_d) / tau_w
-        s2 = 1.0 / np.cosh(x) ** 2
-        th = np.tanh(x)
-        return np.column_stack((s2, 2.0 * a * s2 * th / tau_w, 2.0 * a * s2 * th * x / tau_w))
+        with np.errstate(over="ignore"):
+            c2 = np.cosh(x) ** 2
+        return y - a / c2, x, c2
 
-    r = residual(p)
+    def normal_equations(params, r, x, c2):
+        """J^T J, its diagonal and J^T r at params, from evaluate(params)."""
+        s2 = 1.0 / c2
+        u = 2.0 * params[0] * s2 * np.tanh(x)  # shared by the tau_D and tau_W columns
+        jac = np.column_stack((s2, u / params[2], u * x / params[2]))
+        jtj = jac.T @ jac
+        return jtj, np.diag(np.diag(jtj)), jac.T @ r
+
+    r, x, c2 = evaluate(p)
+    jtj, diag, g = normal_equations(p, r, x, c2)
     cost = float(r @ r)
     lam = 1e-3
     converged = False
     for _ in range(max_iter):
-        jac = jacobian(p)
-        jtj = jac.T @ jac
-        g = jac.T @ r
         try:
-            step = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), g)
+            step = np.linalg.solve(jtj + lam * diag, g)
         except np.linalg.LinAlgError:
             lam *= 10.0
             continue
@@ -270,7 +276,7 @@ def fit_sech2(
         if not trial[2] > 0.0 or not np.all(np.isfinite(trial)):
             lam *= 10.0
             continue
-        r_trial = residual(trial)
+        r_trial, x, c2 = evaluate(trial)
         cost_trial = float(r_trial @ r_trial)
         if cost_trial < cost:
             scale = np.abs(trial)
@@ -281,6 +287,8 @@ def fit_sech2(
             if rel_step < tol:
                 converged = True
                 break
+            # Built once per accepted point, kept across the rejected steps after it.
+            jtj, diag, g = normal_equations(p, r, x, c2)
         else:
             lam *= 10.0
             if lam > 1e15:

@@ -91,6 +91,11 @@ class TestRegimes:
             assert (regimes_dir / f"regime{idx}.csv").exists()
         assert (regimes_dir / "profile.csv").exists()
 
+    def test_panels_share_time_columns(self, regimes_dir):
+        cols = [read_csv(regimes_dir / f"regime{idx}.csv") for idx in (1, 2, 3, 4)]
+        for name in ("t_ps", "t_rel_tau_W"):
+            assert all(c[name] == cols[0][name] for c in cols[1:])
+
     def test_delayed_regimes_reach_peak(self, regimes_dir):
         for idx in (1, 4):
             p = floats(read_csv(regimes_dir / f"regime{idx}.csv"), "P_over_P0")
@@ -277,6 +282,18 @@ class TestFit:
         assert floats(fits, "tau_W_ps")[0] == pytest.approx(1.666, rel=1e-4)
         summary = read_csv(out / "pulse_summary.csv")
         assert len(summary["p_mbar"]) == 1  # only the trace with metadata
+
+    def test_wide_trace_runs_quietly(self, tmp_path, capsys):
+        """cosh overflows in the tails of a +-800 tau_W trace: no warning reaches stderr."""
+        path = tmp_path / "wide.csv"
+        trace = synthesize_sech2_trace(1.0, 0.0, 1e-12, -800e-12, 800e-12, 3001, pressure=8.0)
+        write_trace_csv(path, trace)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["fit", str(path), "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert read_csv(tmp_path / "out" / "fits.csv")["converged"] == ["True"]
 
     def test_malformed_trace_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

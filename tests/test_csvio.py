@@ -13,7 +13,7 @@ from n2sr import csvio
 from n2sr.bloch import integrate_bloch_rwa
 from n2sr.cli import main
 from n2sr.constants import per_m3_to_per_cm3, ps_to_s, s_to_ps, w_per_m2_to_w_per_cm2
-from n2sr.csvio import write_columns
+from n2sr.csvio import write_columns, write_tables
 from n2sr.pressure import SCAN_CSV_HEADER, pressure_scan, write_scan_csv
 from n2sr.profiles import (
     PulseSummary,
@@ -75,6 +75,44 @@ class TestWriteColumns:
     def test_unequal_lengths_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_columns(tmp_path / "x.csv", "a,b", [np.zeros(3), np.zeros(2)])
+
+    def test_edge_floats_as_str_writes_them(self, tmp_path):
+        """Array cells go through repr, list cells through str: the same bytes."""
+        values = [-0.0, 5e-324, 1e16, 1e-05, 0.1 + 0.2, 1.7976931348623157e308, 3.0]
+        path = tmp_path / "x.csv"
+        write_columns(path, "array,list", [np.array(values), values])
+        assert path.read_text() == "array,list\n" + "".join(f"{v},{v}\n" for v in map(str, values))
+
+    def test_bool_and_int_arrays(self, tmp_path):
+        path = tmp_path / "x.csv"
+        write_columns(path, "ok,n", [np.array([True, False, True]), np.array([0, -7, 2**62])])
+        assert path.read_text() == "ok,n\nTrue,0\nFalse,-7\nTrue,4611686018427387904\n"
+
+
+class TestWriteTables:
+    def test_shared_columns_match_single_writes(self, tmp_path, rng):
+        n = 2 * csvio._CHUNK_ROWS + 7
+        shared = [rng.standard_normal(n), np.arange(n)]
+        tables = [
+            (tmp_path / f"t{k}.csv", f"a,b,c{k}", [*shared, rng.standard_normal(n)]) for k in range(3)
+        ]
+        tables.append((tmp_path / "t3.csv", "b,s", [shared[1], [f"r{i}" for i in range(n)]]))
+        write_tables(tables)
+        for path, header, columns in tables:
+            single = tmp_path / "single.csv"
+            write_columns(single, header, columns)
+            assert path.read_bytes() == single.read_bytes()
+
+    def test_unequal_lengths_rejected_before_any_file(self, tmp_path):
+        tables = [
+            (tmp_path / "a.csv", "a", [np.zeros(3)]),
+            (tmp_path / "b.csv", "b,c", [np.zeros(3), np.zeros(2)]),
+        ]
+        with pytest.raises(ValueError):
+            write_tables(tables)
+        with pytest.raises(ValueError):
+            write_tables([tables[0], (tmp_path / "c.csv", "c", [np.zeros(4)])])
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_bloch_trajectory(tmp_path, seed, template):

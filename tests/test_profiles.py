@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,74 @@ class TestExtractFwhm:
         # sample spacing tau_W/100 over +-5 tau_W
         tr = synthesize_sech2_trace(amp, tau_d, tau_w, tau_d - 5 * tau_w, tau_d + 5 * tau_w, 1001)
         assert extract_fwhm(tr) == pytest.approx(SECH2_FWHM_EXACT * tau_w, rel=2e-3)
+
+
+def fwhm_by_walk(trace):
+    """extract_fwhm as a sample-by-sample walk outward from the peak."""
+    t, y = trace.t, trace.intensity
+    i = int(np.argmax(y))
+    if i == 0 or i == len(t) - 1:
+        raise NotAPulseError("peak on the boundary")
+    half = 0.5 * y[i]
+    j = i
+    while j > 0 and y[j] >= half:
+        j -= 1
+    if y[j] >= half:
+        raise NotAPulseError("no left crossing")
+    t_left = t[j] + (half - y[j]) * (t[j + 1] - t[j]) / (y[j + 1] - y[j])
+    j = i
+    while j < len(y) - 1 and y[j] >= half:
+        j += 1
+    if y[j] >= half:
+        raise NotAPulseError("no right crossing")
+    t_right = t[j - 1] + (half - y[j - 1]) * (t[j] - t[j - 1]) / (y[j] - y[j - 1])
+    return float(t_right - t_left)
+
+
+def padded(*values):
+    """A trace on t = 0, 1, ... with `values` between two zeros on each side."""
+    y = np.array([0.0, 0.0, *values, 0.0, 0.0])
+    return TemporalTrace(t=np.arange(y.size, dtype=float), intensity=y)
+
+
+class TestFwhmCrossings:
+    # Levels from a small set, so exact ties with half maximum are common.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        steps=st.lists(st.floats(min_value=0.01, max_value=5.0), min_size=8, max_size=40),
+        levels=st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 1.0, 2.0]), min_size=8, max_size=40),
+    )
+    def test_matches_walk(self, steps, levels):
+        n = min(len(steps), len(levels))
+        y = np.array(levels[:n])
+        if not y.max() > 0.0:
+            return
+        trace = TemporalTrace(t=np.cumsum(steps[:n]), intensity=y)
+        try:
+            expected = fwhm_by_walk(trace)
+        except NotAPulseError:
+            with pytest.raises(NotAPulseError):
+                extract_fwhm(trace)
+            return
+        assert extract_fwhm(trace) == expected
+
+    def test_sample_exactly_at_half_is_not_a_crossing(self):
+        # The crossings fall on the half-maximum samples themselves, at t = 3 and 5.
+        assert extract_fwhm(padded(0.2, 0.5, 1.0, 0.5, 0.2)) == 2.0
+
+    def test_no_left_crossing(self):
+        trace = TemporalTrace(t=np.arange(8.0), intensity=[0.6, 0.7, 1.0, 0.3, 0.1, 0.0, 0.0, 0.0])
+        with pytest.raises(NotAPulseError, match="no left half-maximum crossing"):
+            extract_fwhm(trace)
+
+    def test_no_right_crossing(self):
+        trace = TemporalTrace(t=np.arange(8.0), intensity=[0.0, 0.0, 0.0, 0.1, 0.3, 1.0, 0.7, 0.6])
+        with pytest.raises(NotAPulseError, match="no right half-maximum crossing"):
+            extract_fwhm(trace)
+
+    def test_secondary_peak_beyond_first_crossing_ignored(self):
+        # Crossings at t = 2.5 and 3.5; the 0.9 bump at t = 5 lies beyond them.
+        assert extract_fwhm(padded(0.0, 1.0, 0.0, 0.9, 0.0)) == 1.0
 
 
 class TestPeakDelay:
@@ -224,6 +293,16 @@ class TestFit:
         assert fit.converged
         assert fit.tau_W == pytest.approx(tau_w, rel=1e-6)
         assert abs(fit.tau_D) < 1e-9 * tau_w
+
+    def test_wide_trace_fits_without_warnings(self):
+        """Over +-800 tau_W cosh overflows in the tails: expected, and not reported."""
+        tau_w = 1e-12
+        tr = synthesize_sech2_trace(1.0, 0.0, tau_w, -800.0 * tau_w, 800.0 * tau_w, 3001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fit = fit_sech2(tr)
+        assert fit.converged
+        assert fit.tau_W == pytest.approx(tau_w, rel=1e-6)
 
     def test_fit_invariants(self):
         with pytest.raises(ValueError):

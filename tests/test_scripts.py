@@ -28,3 +28,6 @@ def test_golden_outputs_lists_every_output(tmp_path, capsys):
     rows = {name: int(line.split("  ")[1]) for name, line in zip(files, lines)}
     assert rows["pressure-scan-list/pressure_scan.csv"] == 12  # header and 11 pressures
     assert rows["fit/fits.csv"] == 6  # header and five traces
+    # The gate runs the fitter's rejected-step path: this fit stops on the
+    # damping cap. A fitter that converges it needs a new stuck input here.
+    assert (tmp_path / "fit-stuck" / "fits.csv").read_text().endswith(",False\n")

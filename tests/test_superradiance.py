@@ -82,6 +82,7 @@ class TestTimescales:
         assert characteristic_duration(doubled) == 0.5 * tau
 
     def test_duration_uses_magnitude_of_w0(self, anchor_medium):
+        """Bit for bit: `sr regimes` writes one time grid for all four panels."""
         flipped = dataclasses.replace(anchor_medium, w0=-anchor_medium.w0)
         assert characteristic_duration(flipped) == characteristic_duration(anchor_medium)
 
