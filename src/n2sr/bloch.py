@@ -6,9 +6,10 @@ On resonance and in the rotating-wave approximation the seed drives
 
 with instantaneous Rabi frequency Omega(t) = mu E0 f(t) / hbar. Starting
 from (0, 0, w0) the solution is a pure rotation in the v-w plane through the
-accumulated pulse area theta(t) = (mu E0 / hbar) * integral of f, which this
-module computes both by direct quadrature and by step-by-step integration so
-each can serve as a check on the other.
+accumulated pulse area theta(t) = (mu E0 / hbar) * integral of f. For the
+seed's Gaussian envelope that integral is an erf (SeedPulse.envelope_area),
+which bloch_angle evaluates; integrate_bloch_rwa steps the equations with
+RK4 instead, so each can serve as a check on the other.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ __all__ = [
     "integrate_bloch_rwa",
 ]
 
-# Default integration/quadrature step relative to the seed duration.
+# Default integration step relative to the seed duration.
 STEPS_PER_TAU_S = 2000
 
 
@@ -69,28 +70,15 @@ def rabi_frequency_peak(pulse: SeedPulse, medium: TwoLevelMedium) -> float:
     return medium.mu * pulse.E0 / CONSTANTS.hbar
 
 
-def bloch_angle(pulse: SeedPulse, medium: TwoLevelMedium, t: float, dt: Optional[float] = None) -> float:
-    """Accumulated pulse area theta(t) via composite Simpson quadrature.
+def bloch_angle(pulse: SeedPulse, medium: TwoLevelMedium, t):
+    """Accumulated pulse area theta(t), in closed form, for t >= 0 a scalar or an array.
 
-    The interval [0, t] is split into an even number of panels no wider than
-    dt (default tau_s / 2000) over the pulse's Gaussian envelope.
+    theta(t) = Omega_0 tau_s sqrt(pi / (8 ln 2)) [erf(sqrt(2 ln 2) (t/tau_s - 1)) + erf(sqrt(2 ln 2))]
+    with Omega_0 the peak Rabi frequency.
     """
-    if t < 0.0:
+    if np.less(t, 0.0).any():
         raise ValueError("t must be non-negative")
-    if t == 0.0:
-        return 0.0
-    if dt is None:
-        dt = pulse.tau_s / STEPS_PER_TAU_S
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    n = max(2, math.ceil(t / dt))
-    if n % 2:
-        n += 1
-    x = np.linspace(0.0, t, n + 1)
-    fx = np.asarray(pulse.field_envelope(x), dtype=float)
-    h = t / n
-    area = (h / 3.0) * (fx[0] + fx[-1] + 4.0 * fx[1:-1:2].sum() + 2.0 * fx[2:-1:2].sum())
-    return float(rabi_frequency_peak(pulse, medium) * area)
+    return rabi_frequency_peak(pulse, medium) * pulse.envelope_area(t)
 
 
 def integrate_bloch_rwa(

@@ -96,13 +96,12 @@ def _write_manifest(outdir: Path, cfg: RunConfig, command: str, argv: Sequence[s
 def cmd_seed_phase(cfg: RunConfig, outdir: Path) -> int:
     seed = cfgmod.seed_pulse(cfg)
     medium = cfgmod.medium_template(cfg)
-    dt = cfgmod.dt_seconds(cfg)
-    traj = integrate_bloch_rwa(seed, medium, t_end=seed.tau_r, dt=dt)
+    traj = integrate_bloch_rwa(seed, medium, t_end=seed.tau_r, dt=cfgmod.dt_seconds(cfg))
     traj.write_csv(outdir / "bloch_trajectory.csv")
 
     # item() gives Python floats, whose repr the summary is written in.
     theta, u, v, w = (col[-1].item() for col in (traj.theta, traj.u, traj.v, traj.w))
-    theta_quad = bloch_angle(seed, medium, seed.tau_r, dt=dt)
+    theta_quad = bloch_angle(seed, medium, seed.tau_r)
     defect = abs(v**2 + w**2 - medium.w0**2)
     lines = [
         f"theta_tau_r_rad = {theta!r}",
@@ -117,6 +116,12 @@ def cmd_seed_phase(cfg: RunConfig, outdir: Path) -> int:
     print(f"seed stage: theta(tau_r) = {theta:.6f} rad = {theta / math.pi:.5f} pi")
     print(f"Bloch vector at tau_r: v = {v:.6e}, w = {w:.6e}")
     return 0
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """np.unique of a 1-D float array without NaNs; np.unique itself imports numpy.ma."""
+    a = np.sort(a)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))]
 
 
 def cmd_regimes(cfg: RunConfig, outdir: Path) -> int:
@@ -146,7 +151,7 @@ def cmd_regimes(cfg: RunConfig, outdir: Path) -> int:
         for sol in solutions
         if 0.0 < (sol.tau_D - sol.tau_r) / sol.tau_W < span
     ]
-    grid = np.unique(np.concatenate([grid, np.asarray(peaks)]))
+    grid = _sorted_unique(np.concatenate([grid, np.asarray(peaks)]))
 
     # Every column is checked before the first file is written, so a command
     # that fails leaves no output behind. tau_W depends only on |w0|, so the

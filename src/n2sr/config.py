@@ -257,10 +257,7 @@ def dt_seconds(cfg: RunConfig) -> float:
 def reference_solution(cfg: RunConfig) -> SuperradianceSolution:
     """The burst at the anchor pressure, seeded as configured."""
     cal = calibration(cfg)
-    return solve_from_seed(
-        seed_pulse(cfg), medium_at_pressure(cal, medium_template(cfg), cal.anchor_p),
-        dt=dt_seconds(cfg),
-    )
+    return solve_from_seed(seed_pulse(cfg), medium_at_pressure(cal, medium_template(cfg), cal.anchor_p))
 
 
 def scan_pressures(cfg: RunConfig, pressures: Sequence[float]) -> ScanTable:
@@ -273,7 +270,6 @@ def scan_pressures(cfg: RunConfig, pressures: Sequence[float]) -> ScanTable:
         dephasing=dephasing_parameters(cfg),
         radius=um_to_m(cfg.radius_um),
         validity_threshold=cfg.validity_threshold,
-        dt=dt_seconds(cfg),
     )
 
 

@@ -265,7 +265,7 @@ def pressure_scan(
     dephasing: Optional[DephasingParameters] = None,
     radius: float = 50e-6,
     validity_threshold: float = 10.0,
-    dt: Optional[float] = None,
+    dt: Optional[float] = None,  # unused; benchmarks/worker.py still passes it
 ) -> ScanTable:
     """Predict burst observables across a pressure grid (order preserved).
 
@@ -273,7 +273,8 @@ def pressure_scan(
     array of pressures (densities), with no per-pressure loop. The
     seed-stage tipping angle does not depend on N, so a single theta_r is
     computed and checked once. Peak intensity and total energy are
-    normalized to the maximum-pressure row.
+    normalized to the maximum-pressure row; a normalized column that is not
+    finite raises NumericalError, naming it and its first such pressure.
     """
     if len(pressures) == 0:
         raise ValueError("at least one pressure is required")
@@ -288,7 +289,7 @@ def pressure_scan(
     if dephasing is None:
         dephasing = DephasingParameters()
 
-    theta_r = bloch_angle(seed, medium_template, seed.tau_r, dt=dt)
+    theta_r = bloch_angle(seed, medium_template, seed.tau_r)
     m = medium_template
     n = density_from_pressure(cal, p)
     tau_w = characteristic_duration(m, n)
@@ -299,10 +300,15 @@ def pressure_scan(
     i_peak = peak_intensity(m, n)
     e_total = total_emitted_energy(m, theta_r, radius, n)
     i_ref = int(np.argmax(p))
+    # A reference row that underflowed to 0 (a tiny radius, say) gives NaN.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        i_norm, e_norm = finite_columns("scan", "I_peak_norm,E_total_norm", lambda: [
+            i_peak / i_peak[i_ref], e_total / e_total[i_ref],
+        ], lambda i: f"p = {p[i].item()!r} mbar")
     return ScanTable(
         theta_r=theta_r, p_mbar=p, N=n, tau_W=tau_w, tau_D=tau_d,
-        I_peak=i_peak, I_peak_norm=i_peak / i_peak[i_ref],
-        E_total=e_total, E_total_norm=e_total / e_total[i_ref],
+        I_peak=i_peak, I_peak_norm=i_norm,
+        E_total=e_total, E_total_norm=e_norm,
         E_total_integral=emitted_energy_integral(m, theta_r, radius, n),
         dephasing=tau_2, validity_margin=check.margin, valid=check.valid,
     )

@@ -196,7 +196,8 @@ def tau_w_from_fwhm(tau_fw: float) -> float:
 def _baseline(y: np.ndarray) -> float:
     """Background estimate: median of the lowest decile of samples."""
     k = max(1, len(y) // 10)
-    return float(np.median(np.sort(y)[:k]))
+    low = np.sort(y)[:k]  # sorted, so the median is the middle; np.median imports numpy.ma
+    return float(low[k // 2]) if k % 2 else float((low[k // 2 - 1] + low[k // 2]) / 2.0)
 
 
 def fit_sech2(

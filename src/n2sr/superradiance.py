@@ -228,12 +228,9 @@ def solve_after_seed(medium: TwoLevelMedium, theta_r: float, tau_r: float) -> Su
     )
 
 
-def solve_from_seed(
-    pulse: SeedPulse, medium: TwoLevelMedium, dt: Optional[float] = None
-) -> SuperradianceSolution:
-    """Propagate the seed stage to tau_r by quadrature, then hand over."""
-    theta_r = bloch_angle(pulse, medium, pulse.tau_r, dt=dt)
-    return solve_after_seed(medium, theta_r, pulse.tau_r)
+def solve_from_seed(pulse: SeedPulse, medium: TwoLevelMedium) -> SuperradianceSolution:
+    """Take the seed's closed-form pulse area at tau_r, then hand over."""
+    return solve_after_seed(medium, bloch_angle(pulse, medium, pulse.tau_r), pulse.tau_r)
 
 
 def energy_density(t, sol: SuperradianceSolution):

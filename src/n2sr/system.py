@@ -18,6 +18,10 @@ from .constants import (
 # Field envelope exp(-2 ln2 ((t - tau_s)/tau_s)^2): the squared (intensity)
 # envelope then has FWHM equal to tau_s.
 _GAUSS_COEFF = 2.0 * math.log(2.0)
+# Its integral from 0 to t, a = _GAUSS_COEFF: tau_s sqrt(pi/(4a)) [erf(sqrt(a)(t/tau_s - 1)) + erf(sqrt(a))].
+_ERF_SCALE = math.sqrt(_GAUSS_COEFF)
+_AREA_SCALE = math.sqrt(math.pi / (4.0 * _GAUSS_COEFF))
+_ERF_AT_ZERO = math.erf(_ERF_SCALE)
 
 
 @dataclass(frozen=True)
@@ -104,6 +108,17 @@ class SeedPulse:
         y = -_GAUSS_COEFF * x
         y *= x
         return np.exp(y, out=y) if isinstance(y, np.ndarray) else np.exp(y)
+
+    def envelope_area(self, t):
+        """Integral of field_envelope from 0 to t, in s, by the erf closed form.
+
+        Accepts scalars (giving a float) or arrays. math.erf is applied per
+        element, so a time gives the same bits alone or inside an array.
+        """
+        x = _ERF_SCALE * (np.asarray(t, dtype=float) / self.tau_s - 1.0)
+        erf = np.fromiter(map(math.erf, np.ravel(x).tolist()), float, np.size(x)).reshape(np.shape(x))
+        area = self.tau_s * _AREA_SCALE * (erf + _ERF_AT_ZERO)
+        return area if area.ndim else float(area)
 
 
 def peak_field_from_intensity(intensity_w_m2: float) -> float:

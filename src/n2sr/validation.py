@@ -10,12 +10,12 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import config as cfgmod
-from .bloch import integrate_bloch_rwa, rabi_frequency_peak
+from .bloch import bloch_angle, integrate_bloch_rwa, rabi_frequency_peak
 from .constants import CONSTANTS, mw_per_cm2_to_w_per_m2, s_to_ps
 from .pressure import dephasing_time, superradiance_valid
 from .profiles import SECH2_FWHM_EXACT, TemporalTrace, extract_fwhm
@@ -116,47 +116,29 @@ def _order_text(order: Optional[float]) -> str:
     return "unresolved" if order is None else f"{order:.2f}"
 
 
-# Simpson panels per step of the order runs' reference quadrature. The
-# configured run's reference takes four: two would rebuild the kernel's own
-# theta increments, whose quadrature error the check would then not see.
-_AREA_PANELS = 16
-
-
 def _seed_order_steps(seed, medium) -> int:
     """Coarse step count over [0, tau_r] that is still in RK4's asymptotic range.
 
     The step is at most tau_s / 16, about a tenth of the field envelope's
     Gaussian sigma, and turns the Bloch vector by at most 1/4 rad at the
-    peak Rabi frequency. The reference grid of the doubled count stays
-    within MAX_RK4_STEPS.
+    peak Rabi frequency. The doubled count stays within MAX_RK4_STEPS.
     """
     per_tau_r = max(16.0 * seed.tau_r / seed.tau_s, 4.0 * rabi_frequency_peak(seed, medium) * seed.tau_r)
-    return min(max(2, math.ceil(per_tau_r)), cfgmod.MAX_RK4_STEPS // (2 * _AREA_PANELS))
+    return min(max(2, math.ceil(per_tau_r)), cfgmod.MAX_RK4_STEPS // 2)
 
 
-def _pulse_area_on_grid(seed, medium, n: int, panels: int = _AREA_PANELS) -> np.ndarray:
-    """Pulse area theta at the n + 1 nodes of a uniform grid on [0, tau_r].
-
-    One cumulative composite Simpson pass with an even number of panels per
-    step, so every node's area comes from the same sum.
-    """
-    f = np.asarray(seed.field_envelope(np.linspace(0.0, seed.tau_r, n * panels + 1)))
-    theta = np.zeros(n + 1)
-    # The running sum over panel pairs, read at the end of each step.
-    theta[1:] = np.cumsum(f[:-1:2] + 4.0 * f[1::2] + f[2::2])[panels // 2 - 1::panels // 2]
-    return theta * (rabi_frequency_peak(seed, medium) * seed.tau_r / (3.0 * n * panels))
-
-
-def _check_bloch(cfg) -> tuple[CheckResult, CheckResult]:
+def _check_bloch(cfg, handover: Sequence[float]) -> tuple[CheckResult, CheckResult]:
     """RK4 against the closed form at the configured step, then its order.
 
     Every node of the configured run and of the order runs, at coarse steps
-    h and h/2, is compared with w0 (sin theta, cos theta), theta by one
-    quadrature pass. The equations are linear in the state, so the order
-    runs start from w0 = 1 and their error is a fraction of the Bloch
-    vector's length. The largest error over the grid is used: the error at
-    tau_r alone can lose its h^4 term to cancellation (order 4.86 at
-    seed_intensity_mw_cm2 = 100).
+    h and h/2, is compared with w0 (sin theta, cos theta), theta the erf
+    pulse area bloch_angle gives. The equations are linear in the state, so
+    the order runs start from w0 = 1 and their error is a fraction of the
+    Bloch vector's length. The largest error over the grid is used: the
+    error at tau_r alone can lose its h^4 term to cancellation (order 4.86
+    at seed_intensity_mw_cm2 = 100). Each angle in `handover`, a theta_r
+    handed on to the burst, must also give the configured run's (v, w) at
+    tau_r, to the same 1e-8.
     """
     seed = cfgmod.seed_pulse(cfg)
     medium = cfgmod.medium_template(cfg)
@@ -170,9 +152,12 @@ def _check_bloch(cfg) -> tuple[CheckResult, CheckResult]:
         f"max |v^2+w^2-w0^2| = {defect:.3e}, max |u| = {u_max:.3e}",
     )
 
-    theta = _pulse_area_on_grid(seed, medium, len(traj) - 1, panels=4)
+    theta = bloch_angle(seed, medium, traj.t)
     v_error = np.max(np.abs(traj.v - medium.w0 * np.sin(theta)))
     worst = float(max(v_error, np.max(np.abs(traj.w - medium.w0 * np.cos(theta)))))
+    theta_r = np.asarray(handover)
+    off = [traj.v[-1] - medium.w0 * np.sin(theta_r), traj.w[-1] - medium.w0 * np.cos(theta_r)]
+    handover_error = float(np.max(np.abs(off)))
 
     unit = dataclasses.replace(medium, w0=1.0)
     n = _seed_order_steps(seed, unit)
@@ -182,13 +167,13 @@ def _check_bloch(cfg) -> tuple[CheckResult, CheckResult]:
         # The kernel derives its count from dt, which can round off by one
         # (for a subnormal tau_r, say), so the grid is taken from the run.
         counts.append(len(run) - 1)
-        theta = _pulse_area_on_grid(seed, unit, counts[-1])
+        theta = bloch_angle(seed, unit, run.t)
         errors.append(float(np.max(np.hypot(run.v - np.sin(theta), run.w - np.cos(theta)))))
     order = _observed_order(errors, counts)
     closed_form = CheckResult(
         "bloch-closed-form",
-        worst <= 1e-8 and _order_ok(order),
-        f"max |rk - closed form| = {worst:.3e}, "
+        worst <= 1e-8 and handover_error <= 1e-8 and _order_ok(order),
+        f"max |rk - closed form| = {worst:.3e}, handover error at tau_r = {handover_error:.3e}, "
         f"observed order {_order_text(order)} at {counts[0]}/{counts[1]} steps",
     )
     return conservation, closed_form
@@ -290,9 +275,8 @@ def _check_scan_scaling(cfg, scan) -> CheckResult:
     """
     p0 = cfgmod.calibration(cfg).p0
     x = (scan.p_mbar - p0) / (scan.p_mbar[-1] - p0)
-    worst = float(max(
-        np.max(np.abs(scan.I_peak_norm - x**2)), np.max(np.abs(scan.E_total_norm - x))
-    ))
+    # One numpy max over both defects, so a NaN in either reads as a failure.
+    worst = float(np.max([np.abs(scan.I_peak_norm - x**2), np.abs(scan.E_total_norm - x)]))
     widths_fall = bool(np.all(np.diff(scan.tau_W) < 0.0))
     tau_r = cfgmod.seed_pulse(cfg).tau_r
     lever = -math.copysign(1.0, cfg.w0) * math.log(math.tan(0.5 * scan.theta_r))
@@ -337,11 +321,11 @@ def _check_dephasing(cfg, scan, sol: SuperradianceSolution) -> CheckResult:
 def run_validation_checks(cfg, corrupt: Optional[str] = None) -> list[CheckResult]:
     if corrupt is not None and corrupt not in _CORRUPTIBLE:
         raise ValueError(f"corruptible constants are {', '.join(_CORRUPTIBLE)}")
-    conservation, closed_form = _check_bloch(cfg)
     # The solution first: a burst peak that leaves the float range raises
-    # NumericalError there, before the scan divides by it and warns.
+    # NumericalError there, before the scan divides by it.
     sol = cfgmod.reference_solution(cfg)
     scan = cfgmod.scan_pressures(cfg, DEFAULT_SCAN_PRESSURES)
+    conservation, closed_form = _check_bloch(cfg, (sol.theta_r, scan.theta_r))
     return [
         _check_constants_product(corrupt),
         _check_seed_roundtrip(cfg),

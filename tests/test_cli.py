@@ -1,11 +1,16 @@
 """End-to-end command tests driving main() in-process."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import n2sr
 from n2sr import cli, config
 from n2sr.cli import _parse_pressures, main
 from n2sr.constants import ps_to_s
@@ -428,6 +433,17 @@ class TestArithmeticFailures:
         assert err.startswith("numerical failure: burst peak P0 = 0.000e+00") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["pressure-scan", "validate"])
+    def test_underflowing_scan_energy_exits_2(self, tmp_path, capsys, command):
+        """E_total underflows to 0 at every pressure, so its norm column is 0/0."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--set", "radius_um=1e-300", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: scan column 'E_total_norm' is nan at p = 6.0 mbar\n"
+        )
+
+    @pytest.mark.parametrize("command", ["pressure-scan", "validate"])
     def test_underflowing_collision_rate_exits_2(self, tmp_path, capsys, command):
         args = ["--set", "sigma_cm2=1e-300", "--set", "ionization_fraction=1e-300"]
         assert main([command, *args, "--out", str(tmp_path)]) == 2
@@ -468,3 +484,41 @@ class TestUsageErrors:
         assert main(["seed-phase", "--config", str(ini)]) == 0
         manifest = (tmp_path / "from-file" / "run-manifest.txt").read_text()
         assert "w0 = 0.25" in manifest
+
+
+def test_sorted_unique_is_numpy_unique():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 10, 1001):
+        a = rng.integers(0, max(2, n // 2), n) * 0.25  # repeats are common
+        assert cli._sorted_unique(a).tolist() == np.unique(a).tolist()
+
+
+_NUMPY_MA_PROBE = """
+import sys
+from n2sr.cli import main
+code = main(sys.argv[1:])
+print(code, "numpy.ma" in sys.modules)
+"""
+
+
+def _fresh_python(code: str, *args: str) -> str:
+    src = str(Path(n2sr.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout.strip()
+
+
+@pytest.mark.parametrize("command", ["fit", "regimes"])
+def test_fresh_process_does_not_import_numpy_ma(tmp_path, command):
+    """numpy.ma costs 12-18 ms to import; np.median and np.unique pull it in."""
+    if _fresh_python("import sys, numpy; print('numpy.ma' in sys.modules)") == "True":
+        pytest.skip("this numpy loads numpy.ma on import")
+    args = [command, "--out", str(tmp_path / "out")]
+    if command == "fit":
+        trace = synthesize_sech2_trace(1.0, ps_to_s(10.0), ps_to_s(1.0), 0.0, ps_to_s(20.0), 401)
+        write_trace_csv(tmp_path / "trace.csv", trace)
+        args.append(str(tmp_path / "trace.csv"))
+    assert _fresh_python(_NUMPY_MA_PROBE, *args).splitlines()[-1] == "0 False"

@@ -211,7 +211,7 @@ def test_reference_solution_is_the_anchor_burst(cfg, seed, anchor_medium):
     sol = reference_solution(cfg)
     assert sol.medium == anchor_medium
     assert sol.tau_r == seed.tau_r
-    assert sol.theta_r == bloch_angle(seed, anchor_medium, seed.tau_r, dt=dt_seconds(cfg))
+    assert sol.theta_r == bloch_angle(seed, anchor_medium, seed.tau_r)
     assert sol.tau_W == pytest.approx(ps_to_s(cfg.anchor_tau_w_ps), rel=1e-12)
 
 
@@ -222,7 +222,7 @@ def test_scan_pressures_uses_the_configured_radius():
     direct = pressure_scan(
         calibration(cfg), seed_pulse(cfg), medium_template(cfg), [8.0],
         dephasing=dephasing_parameters(cfg), radius=um_to_m(cfg.radius_um),
-        validity_threshold=cfg.validity_threshold, dt=dt_seconds(cfg),
+        validity_threshold=cfg.validity_threshold,
     )
     assert scan.E_total.tolist() == direct.E_total.tolist()
     assert scan.theta_r == direct.theta_r

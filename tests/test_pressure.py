@@ -216,6 +216,12 @@ class TestScan:
         assert type(rows.theta_r) is float
         assert rows.theta_r == pytest.approx(THETA_R, rel=1e-14)
 
+    def test_step_argument_is_ignored(self, rows, cal, seed, template, dephasing):
+        """theta_r is the closed form at any dt; the benchmark's kernel sweep still passes one."""
+        coarse = pressure_scan(cal, seed, template, TABLE_PRESSURES, dephasing, dt=seed.tau_s)
+        assert coarse.theta_r == rows.theta_r
+        assert coarse.tau_D.tolist() == rows.tau_D.tolist()
+
     def test_anchor_validity(self, rows):
         assert rows.validity_margin[I8] == pytest.approx(179.37611593046836, rel=1e-10)
         assert rows.valid[I8]

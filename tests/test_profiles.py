@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from n2sr import profiles
 from n2sr.constants import ps_to_s
 from n2sr.profiles import (
     SECH2_FWHM_EXACT,
@@ -33,6 +34,17 @@ def gaussian_trace(fwhm, center, t_start, t_end, n, pressure=None):
     t = np.linspace(t_start, t_end, n)
     intensity = np.exp(-4.0 * math.log(2.0) * ((t - center) / fwhm) ** 2)
     return TemporalTrace(t=t, intensity=intensity, pressure=pressure)
+
+
+def test_baseline_is_the_numpy_median_of_the_lowest_decile():
+    """Odd and even deciles, ties included, against np.median as the reference."""
+    rng = np.random.default_rng(7)
+    for n in [*range(1, 40), 3001, 3010]:
+        y = rng.normal(size=n)
+        if n > 5:
+            y[: n // 3] = y[0]  # a run of equal samples in the decile
+        k = max(1, n // 10)
+        assert profiles._baseline(y) == float(np.median(np.sort(y)[:k]))
 
 
 def test_width_constants():

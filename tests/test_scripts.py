@@ -31,3 +31,14 @@ def test_golden_outputs_lists_every_output(tmp_path, capsys):
     # The gate runs the fitter's rejected-step path: this fit stops on the
     # damping cap. A fitter that converges it needs a new stuck input here.
     assert (tmp_path / "fit-stuck" / "fits.csv").read_text().endswith(",False\n")
+
+
+def test_seed_step_sweep_smoke(capsys):
+    """One seed step at three seed strengths: three verdict lines and the count."""
+    lines = runpy.run_path(str(SCRIPTS / "seed_step_sweep.py"))["main"](["--points", "1"])
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
+    assert [line.split("  ")[:3] for line in lines[:3]] == [
+        ["0.05", "1", "PASS"], ["0.05", "10", "PASS"], ["0.05", "100", "PASS"],
+    ]
+    assert all("max |rk - closed form| = " in line for line in lines[:3])
+    assert lines[3] == "bloch-closed-form passed on 3/3 configs"

@@ -94,6 +94,17 @@ def test_envelope_symmetric_about_peak(x):
     assert left == pytest.approx(right, rel=1e-12)
 
 
+def test_envelope_area_landmarks(seed):
+    """0 at t = 0, half the symmetric span's area at the peak, and the full
+    Gaussian integral tau_s sqrt(pi / (2 ln 2)) less the part before t = 0 far out."""
+    assert seed.envelope_area(0.0) == 0.0
+    assert seed.envelope_area(2.0 * seed.tau_s) == 2.0 * seed.envelope_area(seed.tau_s)
+    a = 2.0 * math.log(2.0)
+    before_zero = seed.tau_s * math.sqrt(math.pi / (4.0 * a)) * math.erfc(math.sqrt(a))
+    full = seed.tau_s * math.sqrt(math.pi / a)
+    assert seed.envelope_area(50.0 * seed.tau_s) == pytest.approx(full - before_zero, rel=1e-15)
+
+
 @given(st.floats(min_value=1e3, max_value=1e14))
 def test_peak_field_monotone_in_intensity(i):
     assert peak_field_from_intensity(2.0 * i) == pytest.approx(

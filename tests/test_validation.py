@@ -204,6 +204,11 @@ class TestPendulumOrder:
         assert not validation._order_ok(3.49)
 
 
+def check_bloch(cfg, scale=1.0):
+    """bloch-conservation and bloch-closed-form, handed the reference burst's theta_r times scale."""
+    return validation._check_bloch(cfg, [scale * config.reference_solution(cfg).theta_r])
+
+
 class TestSeedOrder:
     """bloch-closed-form also reports the seed RK4's order, from two coarse runs."""
 
@@ -217,7 +222,7 @@ class TestSeedOrder:
     @pytest.mark.parametrize("intensity", [1.0, 100.0, 1000.0])
     def test_order_holds_across_seed_strengths(self, cfg, intensity):
         """At 100 MW/cm^2 the error at tau_r alone would read 4.86; the grid max reads 4."""
-        result, = [r for r in validation._check_bloch(
+        result, = [r for r in check_bloch(
             dataclasses.replace(cfg, seed_intensity_mw_cm2=intensity)) if r.name == "bloch-closed-form"]
         assert result.passed, result.detail
         _, orders = error_and_orders(result.detail)
@@ -238,7 +243,7 @@ class TestSeedOrder:
             return dataclasses.replace(traj, v=v)
 
         monkeypatch.setattr(validation, "integrate_bloch_rwa", perturbed)
-        _, closed_form = validation._check_bloch(cfg)
+        _, closed_form = check_bloch(cfg)
         error, orders = error_and_orders(closed_form.detail)
         assert runs[0] == config.dt_seconds(cfg)
         assert not closed_form.passed
@@ -246,16 +251,17 @@ class TestSeedOrder:
         assert abs(float(orders[0]) - 4.0) <= 0.05
 
     def test_reference_sees_the_seed_quadrature_error(self, cfg):
-        """At dt_over_tau_s = 0.32 and 1 MW/cm^2 the seed run is about 7e-8 from the
-        closed form; a reference on the kernel's own nodes would read about 2e-9."""
+        """At dt_over_tau_s = 0.32 and 1 MW/cm^2 the seed run is 7.35e-8 from the erf
+        closed form; a Simpson reference on the kernel's own nodes would read about 2e-9."""
         coarse = dataclasses.replace(cfg, dt_over_tau_s=0.32, seed_intensity_mw_cm2=1.0)
-        _, closed_form = validation._check_bloch(coarse)
+        _, closed_form = check_bloch(coarse)
         error, _ = error_and_orders(closed_form.detail)
         assert not closed_form.passed
         assert 3e-8 < error < 2e-7
 
-    def test_validate_calls_bloch_angle_twice(self, tmp_path, monkeypatch):
-        """Once for the reference burst and once for the scan; the seed check calls it never."""
+    def test_validate_calls_bloch_angle_five_times(self, tmp_path, monkeypatch):
+        """Once each for the reference burst and the scan, and once on the whole
+        grid of each of the seed check's three runs."""
         original = bloch.bloch_angle
         calls = []
 
@@ -267,7 +273,7 @@ class TestSeedOrder:
             if module.__name__.startswith("n2sr") and getattr(module, "bloch_angle", None) is original:
                 monkeypatch.setattr(module, "bloch_angle", spy)
         assert main(["validate", "--out", str(tmp_path)]) == 0
-        assert len(calls) == 2
+        assert len(calls) == 5
 
     def test_third_order_kernel_fails(self, cfg, monkeypatch):
         """An h^3 defect far below 1e-8 at the configured step fails on its order."""
@@ -278,11 +284,41 @@ class TestSeedOrder:
             return dataclasses.replace(traj, w=traj.w + 1e-3 * (dt / seed.tau_s) ** 3)
 
         monkeypatch.setattr(validation, "integrate_bloch_rwa", third_order)
-        _, closed_form = validation._check_bloch(cfg)
+        _, closed_form = check_bloch(cfg)
         error, orders = error_and_orders(closed_form.detail)
         assert error <= 1e-8
         assert not closed_form.passed
         assert abs(float(orders[0]) - 3.0) <= 0.1
+
+
+class TestHandover:
+    """bloch-closed-form checks the theta_r handed to the burst against the seed run."""
+
+    def test_default_reading(self, cfg):
+        result = by_name(run_validation_checks(cfg))["bloch-closed-form"]
+        handover = float(result.detail.split("handover error at tau_r = ")[1].split(",")[0])
+        assert result.passed and handover <= 1e-14
+
+    def test_scaled_angle_fails(self, cfg):
+        """theta_r x 1.001 moves v at tau_r by about 1.7e-5."""
+        _, closed_form = check_bloch(cfg, scale=1.001)
+        handover = float(closed_form.detail.split("handover error at tau_r = ")[1].split(",")[0])
+        assert not closed_form.passed
+        assert 1.5e-5 < handover < 2e-5
+
+    @pytest.mark.parametrize("module", ["n2sr.superradiance", "n2sr.pressure"])
+    def test_scaled_angle_fails_validate(self, tmp_path, monkeypatch, capsys, module):
+        """The angle the burst or the scan is built from, not the seed check's own."""
+        original = bloch.bloch_angle
+
+        def scaled(*args):
+            return 1.001 * original(*args)
+
+        monkeypatch.setattr(sys.modules[module], "bloch_angle", scaled)
+        assert main(["validate", "--out", str(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        assert "FAIL  bloch-closed-form" in captured.out
+        assert captured.err == "1 check(s) failed: bloch-closed-form\n"
 
 
 class TestScanScaling:
@@ -302,6 +338,15 @@ class TestScanScaling:
         scan = config.scan_pressures(narrow, validation.DEFAULT_SCAN_PRESSURES)
         result = validation._check_scan_scaling(narrow, scan)
         assert result.passed, result.detail
+
+    @pytest.mark.parametrize("column", ["I_peak_norm", "E_total_norm"])
+    def test_nan_column_fails(self, cfg, column):
+        scan = config.scan_pressures(cfg, validation.DEFAULT_SCAN_PRESSURES)
+        values = getattr(scan, column).copy()
+        values[3] = np.nan
+        result = validation._check_scan_scaling(cfg, dataclasses.replace(scan, **{column: values}))
+        assert not result.passed
+        assert "normalized-shape defect nan" in result.detail
 
     def test_shifted_delay_fails(self, cfg):
         scan = config.scan_pressures(cfg, validation.DEFAULT_SCAN_PRESSURES)
