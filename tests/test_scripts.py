@@ -1,9 +1,25 @@
 """The scripts under scripts/ run against the package as it stands."""
 
+import platform
 import runpy
 from pathlib import Path
 
+import numpy as np
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+GOLDEN = Path(__file__).resolve().parent / "golden.txt"
+
+
+def committed_golden() -> tuple[dict[str, str], list[str]]:
+    """The versions recorded in tests/golden.txt and its listing lines."""
+    versions, listing = {}, []
+    for line in GOLDEN.read_text().splitlines():
+        if not line.startswith("#"):
+            listing.append(line)
+        elif line.startswith(("# python ", "# numpy ")):
+            name, version = line[2:].split()
+            versions[name] = version
+    return versions, listing
 
 
 def test_profile_roundtrip_recovers_the_measured_grid(capsys):
@@ -31,6 +47,18 @@ def test_golden_outputs_lists_every_output(tmp_path, capsys):
     # The gate runs the fitter's rejected-step path: this fit stops on the
     # damping cap. A fitter that converges it needs a new stuck input here.
     assert (tmp_path / "fit-stuck" / "fits.csv").read_text().endswith(",False\n")
+
+    # The byte-identity gate: every output as the committed listing has it.
+    versions, golden = committed_golden()
+    here = {"python": platform.python_version(), "numpy": np.__version__}
+    assert versions == here, (
+        f"tests/golden.txt was listed with {versions}, this run has {here}: "
+        "last-bit float results can differ between them, so list the outputs again here"
+    )
+    fresh = {line.split("  ")[2]: line for line in lines}
+    committed = {line.split("  ")[2]: line for line in golden}
+    differ = sorted(n for n in fresh.keys() | committed.keys() if fresh.get(n) != committed.get(n))
+    assert not differ, f"outputs that differ from tests/golden.txt: {', '.join(differ)}"
 
 
 def test_seed_step_sweep_smoke(capsys):
