@@ -32,9 +32,6 @@ __all__ = [
     "integrate_bloch_rwa",
 ]
 
-# Default integration step relative to the seed duration.
-STEPS_PER_TAU_S = 2000
-
 
 @dataclass(frozen=True)
 class BlochTrajectory:
@@ -85,7 +82,7 @@ def integrate_bloch_rwa(
     pulse: SeedPulse,
     medium: TwoLevelMedium,
     t_end: float,
-    dt: Optional[float] = None,
+    dt: float,
     envelope: Optional[Callable] = None,
 ) -> BlochTrajectory:
     """Integrate the resonant RWA Bloch equations from t = 0 to t_end.
@@ -116,8 +113,6 @@ def integrate_bloch_rwa(
     """
     if not t_end > 0.0:
         raise ValueError("t_end must be positive")
-    if dt is None:
-        dt = pulse.tau_s / STEPS_PER_TAU_S
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     if dt >= t_end:

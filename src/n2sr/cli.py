@@ -58,7 +58,7 @@ def _build_parser() -> _Parser:
             "--set", metavar="KEY=VALUE", action="append", default=[],
             dest="overrides", help="override a config key (repeatable)",
         )
-        p.add_argument("--out", metavar="DIR", default=None, help="output directory")
+        p.add_argument("--out", metavar="DIR", default="out", help="output directory (default out)")
 
     add_common(sub.add_parser("seed-phase", help="integrate the seed-stage Bloch dynamics"))
     add_common(sub.add_parser("regimes", help="emit the four burst regimes as CSV panels"))
@@ -225,7 +225,7 @@ def cmd_pressure_scan(cfg: RunConfig, pressures: list[float], outdir: Path) -> i
 
 def cmd_fit(cfg: RunConfig, trace_files: list[str], outdir: Path) -> int:
     traces = [read_trace_csv(p) for p in trace_files]
-    fits = [fit_sech2(t, tol=cfg.fit_tol, max_iter=cfg.fit_max_iter) for t in traces]
+    fits = [fit_sech2(t) for t in traces]
     names = [Path(path).name for path in trace_files]
 
     write_columns(
@@ -287,7 +287,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = load_config(args.config, args.overrides)
-        outdir = Path(args.out) if args.out is not None else Path(cfg.out_dir)
+        outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         _write_manifest(outdir, cfg, args.command, argv)
         if args.command == "seed-phase":

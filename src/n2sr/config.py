@@ -78,22 +78,15 @@ class RunConfig:
     regime_span_tau_w: float = 10.0
     regime_points: int = 1001
     theta_strong_over_pi: float = 0.6
-    fit_tol: float = 1e-8
-    fit_max_iter: int = 200
     validity_threshold: float = 10.0
-    # output
-    out_dir: str = "out"
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
-_INT_FIELDS = {"profile_points", "regime_points", "fit_max_iter"}
-_STR_FIELDS = {"out_dir"}
+_INT_FIELDS = {"profile_points", "regime_points"}
 _OPTIONAL_FIELDS = {"seed_intensity_mw_cm2", "seed_e0_v_m"}
 
 
 def _coerce(key: str, raw: str):
-    if key in _STR_FIELDS:
-        return raw
     if key in _OPTIONAL_FIELDS and raw.lower() == "none":
         return None
     try:
@@ -182,8 +175,8 @@ def validate_config(cfg: RunConfig) -> None:
             f"config key 'tau_s_ps' is {cfg.tau_s_ps!r} ps, below the smallest normal "
             f"double in seconds ({sys.float_info.min!r} s)"
         )
-    for key in ("dt_over_tau_s", "window_tau_w", "regime_span_tau_w", "fit_tol",
-                "validity_threshold", "radius_um"):
+    for key in ("dt_over_tau_s", "window_tau_w", "regime_span_tau_w", "validity_threshold",
+                "radius_um"):
         if not getattr(cfg, key) > 0.0:
             raise ConfigError(f"config key '{key}' must be positive")
     steps = cfg.tau_r_over_tau_s / cfg.dt_over_tau_s
@@ -205,8 +198,6 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError(
                 f"config key '{key}' asks for {points} grid points; the limit is {MAX_GRID_POINTS}"
             )
-    if cfg.fit_max_iter < 1:
-        raise ConfigError("config key 'fit_max_iter' must be at least 1")
     if not 0.5 < cfg.theta_strong_over_pi < 1.0:
         raise ConfigError("config key 'theta_strong_over_pi' must lie in (0.5, 1)")
 

@@ -71,7 +71,7 @@ def wavelength_to_angular_frequency(wavelength_m: float) -> float:
     return 2.0 * math.pi * CONSTANTS.c / wavelength_m
 
 
-def pressure_to_number_density(pressure_pa, temperature_k: float = 300.0):
+def pressure_to_number_density(pressure_pa, temperature_k: float):
     """Ideal-gas number density n = p / (kB T) in m^-3; elementwise for an array p."""
     if not temperature_k > 0.0:
         raise ValueError("temperature must be positive")

@@ -81,10 +81,10 @@ class DensityCalibration:
 class DephasingParameters:
     """Electron-collision dephasing model 1/tau2 = sigma f_ion n(p, T) v_e."""
 
-    sigma: float = 1e-19              # collision cross-section, m^2
-    v_e: float = 1e6                  # electron velocity, m/s
-    ionization_fraction: float = 0.1  # ionized share of the neutral density
-    temperature: float = 300.0        # gas temperature for p -> n, K
+    sigma: float                # collision cross-section, m^2
+    v_e: float                  # electron velocity, m/s
+    ionization_fraction: float  # ionized share of the neutral density
+    temperature: float          # gas temperature for p -> n, K
 
     def __post_init__(self) -> None:
         if not self.sigma > 0.0 or not self.v_e > 0.0:
@@ -227,7 +227,7 @@ def dephasing_time(p_mbar, params: DephasingParameters):
     return 1.0 / rate
 
 
-def superradiance_valid(tau_2, tau_w, tau_d, threshold: float = 10.0, p_mbar=None) -> ValidityCheck:
+def superradiance_valid(tau_2, tau_w, tau_d, threshold: float, p_mbar=None) -> ValidityCheck:
     """Margin tau_2 / sqrt(tau_W tau_D) of the no-dephasing assumption.
 
     The coherent treatment needs the dephasing time to dominate the
@@ -262,10 +262,11 @@ def pressure_scan(
     seed: SeedPulse,
     medium_template: TwoLevelMedium,
     pressures: Sequence[float],
-    dephasing: Optional[DephasingParameters] = None,
+    dephasing: DephasingParameters,
+    # The sweep in benchmarks/worker.py relies on these three (dt is unused).
     radius: float = 50e-6,
     validity_threshold: float = 10.0,
-    dt: Optional[float] = None,  # unused; benchmarks/worker.py still passes it
+    dt: Optional[float] = None,
 ) -> ScanTable:
     """Predict burst observables across a pressure grid (order preserved).
 
@@ -286,8 +287,6 @@ def pressure_scan(
         )
     if not radius > 0.0:
         raise ValueError("radius must be positive")
-    if dephasing is None:
-        dephasing = DephasingParameters()
 
     theta_r = bloch_angle(seed, medium_template, seed.tau_r)
     m = medium_template

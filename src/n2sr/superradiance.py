@@ -22,7 +22,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -173,7 +172,7 @@ class SuperradianceSolution:
         """w(t) = w0 cos theta(t) = -|w0| tanh((t - tau_D)/tau_W)."""
         return -abs(self.medium.w0) * np.tanh((np.asarray(t, dtype=float) - self.tau_D) / self.tau_W)
 
-    def time_grid(self, window_tau_w: float = 20.0, n: int = 2001) -> np.ndarray:
+    def time_grid(self, window_tau_w: float, n: int) -> np.ndarray:
         """Uniform grid spanning tau_D +- window_tau_w * tau_W."""
         if not window_tau_w > 0.0 or n < 2:
             raise ValueError("window must be positive and n at least 2")
@@ -317,10 +316,8 @@ def integrate_pendulum(
     return np.linspace(tau_r, t_end, n + 1), out
 
 
-def write_profile_csv(path, sol: SuperradianceSolution, t: Optional[np.ndarray] = None) -> None:
-    """Write burst profiles on grid t (default: tau_D +- 20 tau_W, 2001 points)."""
-    if t is None:
-        t = sol.time_grid()
+def write_profile_csv(path, sol: SuperradianceSolution, t: np.ndarray) -> None:
+    """Write burst profiles on grid t."""
     t = np.asarray(t, dtype=float)
     header = "t_ps,theta_rad,energy_density_J_m3,power_W_m3,intensity_W_m2,field_V_m"
     write_columns(path, header, finite_columns("profile", header, lambda: [

@@ -6,6 +6,7 @@ from n2sr.config import (
     RunConfig,
     calibration,
     dephasing_parameters,
+    dt_seconds,
     medium_template,
     seed_pulse,
 )
@@ -20,6 +21,12 @@ def cfg():
 @pytest.fixture(scope="session")
 def seed(cfg):
     return seed_pulse(cfg)
+
+
+@pytest.fixture(scope="session")
+def dt(cfg):
+    """The configured seed-stage RK4 step, in seconds."""
+    return dt_seconds(cfg)
 
 
 @pytest.fixture(scope="session")

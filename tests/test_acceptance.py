@@ -153,7 +153,7 @@ def test_criterion_07_scaling_laws(capsys, cal, seed, template, dephasing):
     )
 
 
-def test_criterion_08_dephasing_window(capsys, cal, seed, template, dephasing):
+def test_criterion_08_dephasing_window(capsys, cfg, cal, seed, template, dephasing):
     tau_2 = dephasing_time(20.0, dephasing)
     band_ok = abs(tau_2 - 207e-12) <= 0.1 * 207e-12
     covers_ok = 0.9 * tau_2 <= 200e-12 <= 1.1 * tau_2
@@ -164,7 +164,7 @@ def test_criterion_08_dephasing_window(capsys, cal, seed, template, dephasing):
     theta_r = bloch_angle(seed, template, seed.tau_r)
     tau_w = characteristic_duration(medium)
     tau_d = time_delay(medium, theta_r, seed.tau_r)
-    check = superradiance_valid(dephasing_time(8.0, dephasing), tau_w, tau_d)
+    check = superradiance_valid(dephasing_time(8.0, dephasing), tau_w, tau_d, cfg.validity_threshold)
     ok = band_ok and covers_ok and check.margin >= 10.0
     assert report(capsys, 8, "dephasing time window and validity margin", ok), (
         f"tau_2(20 mbar) = {s_to_ps(tau_2):.1f} ps, margin(8 mbar) = {check.margin:.1f}"

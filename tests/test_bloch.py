@@ -93,26 +93,26 @@ def test_rabi_frequency(seed, template):
 
 
 class TestIntegration:
-    def test_matches_analytic_solution(self, seed, template):
+    def test_matches_analytic_solution(self, seed, template, dt):
         t_end = 4.0 * seed.tau_s
-        traj = integrate_bloch_rwa(seed, template, t_end)
+        traj = integrate_bloch_rwa(seed, template, t_end, dt)
         # probe a handful of interior samples plus the endpoint
         for i in np.linspace(0, len(traj) - 1, 9, dtype=int):
             ref_v, ref_w = closed_form(seed, template, float(traj.t[i]))
             assert traj.v[i] == pytest.approx(ref_v, abs=1e-8)
             assert traj.w[i] == pytest.approx(ref_w, abs=1e-8)
 
-    def test_conservation_per_step(self, seed, template):
-        traj = integrate_bloch_rwa(seed, template, 4.0 * seed.tau_s)
+    def test_conservation_per_step(self, seed, template, dt):
+        traj = integrate_bloch_rwa(seed, template, 4.0 * seed.tau_s, dt)
         drift = np.abs(traj.v**2 + traj.w**2 - template.w0**2)
         assert drift.max() <= 1e-9
 
-    def test_u_stays_zero(self, seed, template):
-        traj = integrate_bloch_rwa(seed, template, 4.0 * seed.tau_s)
+    def test_u_stays_zero(self, seed, template, dt):
+        traj = integrate_bloch_rwa(seed, template, 4.0 * seed.tau_s, dt)
         assert np.all(traj.u == 0.0)
 
-    def test_theta_column_matches_quadrature(self, seed, template):
-        traj = integrate_bloch_rwa(seed, template, 4.0 * seed.tau_s)
+    def test_theta_column_matches_quadrature(self, seed, template, dt):
+        traj = integrate_bloch_rwa(seed, template, 4.0 * seed.tau_s, dt)
         assert traj.theta[-1] == pytest.approx(
             bloch_angle(seed, template, 4.0 * seed.tau_s), rel=1e-9
         )
@@ -158,33 +158,35 @@ class TestIntegration:
             assert abs(traj.v[i + 1] - v) <= 1e-15
             assert abs(traj.w[i + 1] - w) <= 1e-15
 
-    def test_pi_pulse_inverts_population(self, template):
+    def test_pi_pulse_inverts_population(self, template, cfg):
         """Constant envelope with area pi maps (0, 0, w0) to (0, 0, -w0)."""
         t_end = 1e-12
         e0 = math.pi * CONSTANTS.hbar / (template.mu * t_end)
         pulse = SeedPulse(E0=e0, tau_s=t_end, tau_r=t_end)
-        traj = integrate_bloch_rwa(pulse, template, t_end, envelope=constant_envelope)
+        dt = cfg.dt_over_tau_s * pulse.tau_s
+        traj = integrate_bloch_rwa(pulse, template, t_end, dt, envelope=constant_envelope)
         assert traj.v[-1] == pytest.approx(0.0, abs=1e-6)
         assert traj.w[-1] == pytest.approx(-template.w0, abs=1e-6)
 
-    def test_constant_envelope_is_pure_rotation(self, template):
+    def test_constant_envelope_is_pure_rotation(self, template, cfg):
         pulse = SeedPulse(E0=2e8, tau_s=1e-13, tau_r=3.6e-13)
         t_end = 5e-13
         omega = rabi_frequency_peak(pulse, template)
-        traj = integrate_bloch_rwa(pulse, template, t_end, envelope=constant_envelope)
+        dt = cfg.dt_over_tau_s * pulse.tau_s
+        traj = integrate_bloch_rwa(pulse, template, t_end, dt, envelope=constant_envelope)
         for i in np.linspace(0, len(traj) - 1, 7, dtype=int):
             phase = omega * traj.t[i]
             assert traj.v[i] == pytest.approx(template.w0 * math.sin(phase), abs=1e-9)
             assert traj.w[i] == pytest.approx(template.w0 * math.cos(phase), abs=1e-9)
 
-    def test_grid_lands_on_t_end(self, seed, template):
-        traj = integrate_bloch_rwa(seed, template, 4.0 * seed.tau_s)
+    def test_grid_lands_on_t_end(self, seed, template, dt):
+        traj = integrate_bloch_rwa(seed, template, 4.0 * seed.tau_s, dt)
         assert traj.t[0] == 0.0
         assert traj.t[-1] == 4.0 * seed.tau_s
 
-    def test_bad_arguments(self, seed, template):
+    def test_bad_arguments(self, seed, template, dt):
         with pytest.raises(ValueError):
-            integrate_bloch_rwa(seed, template, 0.0)
+            integrate_bloch_rwa(seed, template, 0.0, dt)
         with pytest.raises(ValueError):
             integrate_bloch_rwa(seed, template, 1e-13, dt=2e-13)
 

@@ -480,10 +480,17 @@ class TestUsageErrors:
 
     def test_config_file_is_used(self, tmp_path):
         ini = tmp_path / "run.ini"
-        ini.write_text("w0 = 0.25\nout_dir = " + str(tmp_path / "from-file") + "\n")
-        assert main(["seed-phase", "--config", str(ini)]) == 0
-        manifest = (tmp_path / "from-file" / "run-manifest.txt").read_text()
+        ini.write_text("w0 = 0.25\n")
+        assert main(["seed-phase", "--config", str(ini), "--out", str(tmp_path / "out")]) == 0
+        manifest = (tmp_path / "out" / "run-manifest.txt").read_text()
         assert "w0 = 0.25" in manifest
+
+    @pytest.mark.parametrize("override", ["out_dir=x", "fit_tol=1e-6", "fit_max_iter=5"])
+    def test_removed_keys_are_unknown(self, tmp_path, capsys, override):
+        """--out is the one output setting, and fit_sech2's own defaults stop the fit."""
+        assert main(["fit", "--set", override, "--out", str(tmp_path), "trace.csv"]) == 1
+        key = override.partition("=")[0]
+        assert capsys.readouterr().err == f"error: unknown config key '{key}'\n"
 
 
 def test_sorted_unique_is_numpy_unique():

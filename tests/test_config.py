@@ -129,7 +129,6 @@ class TestValueErrors:
             "theta_strong_over_pi=1.0",
             "radius_um=0",
             "ionization_fraction=0",
-            "fit_max_iter=0",
             "regime_points=1",
         ],
     )
@@ -243,7 +242,6 @@ def test_resolved_items_cover_every_field():
     items = dict(resolved_items(cfg))
     assert len(items) == len(cfg.__dataclass_fields__)
     assert items["w0"] == 0.1
-    assert items["out_dir"] == "out"
 
 
 def test_pendulum_step_is_not_a_config_key():

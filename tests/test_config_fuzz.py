@@ -59,8 +59,6 @@ VALUES.update(
     dt_over_tau_s=bounded(5e-4, 10.0),
     profile_points=points(),
     regime_points=points(),
-    fit_max_iter=st.integers(min_value=-2, max_value=1000),
-    out_dir=st.text(alphabet="ab/ ._-", max_size=8),
     seed_e0_v_m=scaled(8.68e6),
 )
 assert set(VALUES) == {f.name for f in dataclasses.fields(RunConfig)}

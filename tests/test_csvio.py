@@ -115,8 +115,8 @@ class TestWriteTables:
         assert list(tmp_path.iterdir()) == []
 
 
-def test_bloch_trajectory(tmp_path, seed, template):
-    traj = integrate_bloch_rwa(seed, template, seed.tau_r)
+def test_bloch_trajectory(tmp_path, seed, template, dt):
+    traj = integrate_bloch_rwa(seed, template, seed.tau_r, dt)
     path = tmp_path / "traj.csv"
     traj.write_csv(path)
     expected = "t_ps,u,v,w,theta_rad\n" + "".join(
@@ -127,11 +127,11 @@ def test_bloch_trajectory(tmp_path, seed, template):
     assert path.read_text() == expected
 
 
-def test_profile(tmp_path, anchor_medium, seed):
+def test_profile(tmp_path, anchor_medium, seed, cfg):
     sol = solve_after_seed(anchor_medium, 0.17392466546264773, seed.tau_r)
     path = tmp_path / "profile.csv"
-    write_profile_csv(path, sol)
-    t = sol.time_grid()
+    t = sol.time_grid(cfg.window_tau_w, cfg.profile_points)
+    write_profile_csv(path, sol, t)
     theta, e = sol.bloch_angle(t), energy_density(t, sol)
     p, i_s = emitted_power_density(t, sol), emitted_intensity(t, sol)
     f = emitted_field_envelope(t, sol)

@@ -13,7 +13,6 @@ from n2sr.pressure import (
     REFERENCE_DENSITY_SLOPE_PER_CM3_MBAR,
     BelowThresholdError,
     DensityCalibration,
-    DephasingParameters,
     calibrate_density_scale,
     dephasing_time,
     density_from_pressure,
@@ -144,29 +143,29 @@ class TestDephasing:
         with pytest.raises(ZeroDivisionError, match=message):
             dephasing_time(np.array([8.0, 6.0, 20.0]), tiny)
 
-    def test_validity_margin_definition(self):
-        check = superradiance_valid(200e-12, ps_to_s(1.666), ps_to_s(6.287))
+    def test_validity_margin_definition(self, cfg):
+        check = superradiance_valid(200e-12, ps_to_s(1.666), ps_to_s(6.287), cfg.validity_threshold)
         assert check.margin == pytest.approx(61.7974801879895, rel=1e-12)
         assert check.valid
 
-    def test_marginal_case_invalid(self):
+    def test_marginal_case_invalid(self, cfg):
         tau_w, tau_d = 1e-12, 4e-12
-        check = superradiance_valid(math.sqrt(tau_w * tau_d), tau_w, tau_d)
+        check = superradiance_valid(math.sqrt(tau_w * tau_d), tau_w, tau_d, cfg.validity_threshold)
         assert check.margin == pytest.approx(1.0, rel=1e-12)
         assert not check.valid
 
-    def test_margin_linear_in_tau2(self):
-        m1 = superradiance_valid(1e-10, 1e-12, 4e-12).margin
-        m2 = superradiance_valid(2e-10, 1e-12, 4e-12).margin
+    def test_margin_linear_in_tau2(self, cfg):
+        m1 = superradiance_valid(1e-10, 1e-12, 4e-12, cfg.validity_threshold).margin
+        m2 = superradiance_valid(2e-10, 1e-12, 4e-12, cfg.validity_threshold).margin
         assert m2 == 2.0 * m1
 
-    def test_bad_parameters_rejected(self):
+    def test_bad_parameters_rejected(self, dephasing):
         with pytest.raises(ValueError):
-            DephasingParameters(sigma=0.0)
+            dataclasses.replace(dephasing, sigma=0.0)
         with pytest.raises(ValueError):
-            DephasingParameters(ionization_fraction=0.0)
+            dataclasses.replace(dephasing, ionization_fraction=0.0)
         with pytest.raises(ValueError):
-            DephasingParameters(ionization_fraction=1.5)
+            dataclasses.replace(dephasing, ionization_fraction=1.5)
 
 
 @pytest.fixture(scope="module")
@@ -278,7 +277,7 @@ class TestColumnarScan:
     def scan(self, cal, seed, template, dephasing, pressures):
         return pressure_scan(cal, seed, template, pressures, dephasing)
 
-    def test_columns_equal_scalar_closed_forms(self, scan, pressures, cal, seed, template, dephasing):
+    def test_columns_equal_scalar_closed_forms(self, scan, pressures, cal, seed, template, dephasing, cfg):
         i_ref = int(np.argmax(pressures))
         m_ref = medium_at_pressure(cal, template, pressures[i_ref])
         i_peak_ref = peak_intensity(m_ref)
@@ -288,7 +287,7 @@ class TestColumnarScan:
             tau_w = characteristic_duration(m)
             tau_d = time_delay(m, scan.theta_r, seed.tau_r)
             tau_2 = dephasing_time(p, dephasing)
-            check = superradiance_valid(tau_2, tau_w, tau_d)
+            check = superradiance_valid(tau_2, tau_w, tau_d, cfg.validity_threshold)
             e_total = total_emitted_energy(m, scan.theta_r, 50e-6)
             assert (scan.p_mbar[i], scan.N[i], scan.tau_W[i], scan.tau_D[i]) == (p, m.N, tau_w, tau_d)
             assert scan.E_total[i] == e_total
@@ -320,21 +319,22 @@ class TestColumnarScan:
             assert ulps(peak_power_density(anchor_medium, n)[j], peak_power_density(m)) <= 1.0
             assert dephasing_time(p, dephasing)[j] == dephasing_time(float(p[j]), dephasing)
 
-    def test_scalar_calls_return_python_types(self, anchor_medium, dephasing):
-        check = superradiance_valid(200e-12, 1e-12, 4e-12)
+    def test_scalar_calls_return_python_types(self, anchor_medium, dephasing, cfg):
+        check = superradiance_valid(200e-12, 1e-12, 4e-12, cfg.validity_threshold)
         assert type(check.margin) is float and type(check.valid) is bool
         assert type(characteristic_duration(anchor_medium)) is float
         assert type(dephasing_time(8.0, dephasing)) is float
 
-    def test_non_positive_delay_names_the_pressure(self):
+    def test_non_positive_delay_names_the_pressure(self, cfg):
         tau_d = np.array([4e-12, -1e-12, -2e-12])
         with pytest.raises(ValueError, match=r"tau_D = -1 ps at p = 7.5 mbar") as err:
             superradiance_valid(
-                np.full(3, 1e-10), np.full(3, 1e-12), tau_d, p_mbar=np.array([6.0, 7.5, 9.0])
+                np.full(3, 1e-10), np.full(3, 1e-12), tau_d, cfg.validity_threshold,
+                p_mbar=np.array([6.0, 7.5, 9.0]),
             )
         assert "w0 < 0" in str(err.value) and "\n" not in str(err.value)
         with pytest.raises(ValueError, match="undefined where tau_D <= 0"):
-            superradiance_valid(1e-10, 1e-12, 0.0)
+            superradiance_valid(1e-10, 1e-12, 0.0, cfg.validity_threshold)
 
     def test_absorbing_scan_rejected(self, cal, seed, template, dephasing):
         absorbing = dataclasses.replace(template, w0=-template.w0)

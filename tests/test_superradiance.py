@@ -259,8 +259,8 @@ class TestEmission:
         assert emitted_power_density(t, sol8).tolist() == [0.0, 0.0]
         assert emitted_field_envelope(t, sol8).tolist() == [0.0, 0.0]
 
-    def test_intensity_is_power_times_length(self, sol8, anchor_medium):
-        t = sol8.time_grid(n=101)
+    def test_intensity_is_power_times_length(self, sol8, anchor_medium, cfg):
+        t = sol8.time_grid(cfg.window_tau_w, 101)
         assert np.all(
             emitted_intensity(t, sol8) == emitted_power_density(t, sol8) * anchor_medium.L
         )
@@ -280,12 +280,12 @@ class TestEmission:
             CONSTANTS.hbar * m.omega * abs(m.w0) * m.N, rel=1e-12
         )
 
-    def test_energy_density_monotone_decreasing(self, sol8, anchor_medium):
+    def test_energy_density_monotone_decreasing(self, sol8, anchor_medium, cfg):
         # Strict decrease only holds where tanh has not saturated in floats,
         # so check it on +-6 tau_W and settle for non-increasing on the wide grid.
         e_core = energy_density(sol8.time_grid(window_tau_w=6.0, n=201), sol8)
         assert np.all(np.diff(e_core) < 0.0)
-        t = sol8.time_grid(n=201)
+        t = sol8.time_grid(cfg.window_tau_w, 201)
         e = energy_density(t, sol8)
         assert np.all(np.diff(e) <= 0.0)
         half = 0.5 * CONSTANTS.hbar * anchor_medium.omega * abs(anchor_medium.w0) * anchor_medium.N
@@ -399,12 +399,12 @@ class TestPendulum:
         assert f"t = {TAU_R + h:.6e} s" in str(info.value)
 
 
-def test_profile_csv(tmp_path, sol8):
+def test_profile_csv(tmp_path, sol8, cfg):
     path = tmp_path / "profile.csv"
-    write_profile_csv(path, sol8)
+    write_profile_csv(path, sol8, sol8.time_grid(cfg.window_tau_w, cfg.profile_points))
     lines = path.read_text().splitlines()
     assert lines[0] == "t_ps,theta_rad,energy_density_J_m3,power_W_m3,intensity_W_m2,field_V_m"
-    assert len(lines) == 2002  # default grid plus header
+    assert len(lines) == 2002  # the configured grid plus header
     mid = lines[1001].split(",")
     assert float(mid[0]) == pytest.approx(s_to_ps(sol8.tau_D), rel=1e-12)
     assert float(mid[3]) == pytest.approx(sol8.P0, rel=1e-12)
