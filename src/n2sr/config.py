@@ -159,7 +159,7 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("exactly one of seed_intensity_mw_cm2 / seed_e0_v_m is required")
     try:
         medium_template(cfg)
-        seed_pulse(cfg)
+        seed = seed_pulse(cfg)
         calibration(cfg)
         dephasing_parameters(cfg)
     except ConfigError:
@@ -179,6 +179,13 @@ def validate_config(cfg: RunConfig) -> None:
                 "radius_um"):
         if not getattr(cfg, key) > 0.0:
             raise ConfigError(f"config key '{key}' must be positive")
+    # integrate_bloch_rwa needs dt < t_end; checked here on the same products,
+    # so that the error names the key.
+    if not dt_seconds(cfg) < seed.tau_r:
+        raise ConfigError(
+            f"config key 'dt_over_tau_s' is {cfg.dt_over_tau_s!r}; the seed step must be shorter "
+            f"than the seed stage, tau_r_over_tau_s = {cfg.tau_r_over_tau_s!r}"
+        )
     steps = cfg.tau_r_over_tau_s / cfg.dt_over_tau_s
     if steps > MAX_RK4_STEPS:
         raise ConfigError(

@@ -27,6 +27,7 @@ from .constants import (
     w_per_m2_to_w_per_cm2,
 )
 from .csvio import finite_columns, write_columns
+from .errors import NumericalError
 from .superradiance import characteristic_duration, peak_intensity, time_delay
 from .system import SeedPulse, TwoLevelMedium
 
@@ -212,17 +213,23 @@ def dephasing_time(p_mbar, params: DephasingParameters):
     """Collisional dephasing time 1 / (sigma f_ion n v_e) at gas pressure p,
     elementwise for an array p.
 
-    A collision rate that underflows to 0 raises ZeroDivisionError, for an
-    array as for a scalar, naming the lowest pressure.
+    A collision rate that underflows to 0 raises ZeroDivisionError, and one
+    that overflows raises NumericalError, for an array as for a scalar,
+    naming the lowest or the highest pressure.
     """
     if not np.greater(p_mbar, 0.0).all():
         raise ValueError("pressure must be positive")
-    n = pressure_to_number_density(mbar_to_pascal(p_mbar), params.temperature)
-    rate = params.sigma * params.ionization_fraction * n * params.v_e
-    if not np.greater(rate, 0.0).all():
-        raise ZeroDivisionError(
-            "the collision rate sigma f_ion n v_e underflows to 0 "
-            f"at p = {float(np.min(p_mbar))!r} mbar"
+    with np.errstate(over="ignore"):
+        n = pressure_to_number_density(mbar_to_pascal(p_mbar), params.temperature)
+        rate = params.sigma * params.ionization_fraction * n * params.v_e
+    if not np.all((rate > 0.0) & (rate < math.inf)):
+        if not np.greater(rate, 0.0).all():
+            raise ZeroDivisionError(
+                "the collision rate sigma f_ion n v_e underflows to 0 "
+                f"at p = {float(np.min(p_mbar))!r} mbar"
+            )
+        raise NumericalError(
+            f"the collision rate sigma f_ion n v_e is not finite at p = {float(np.max(p_mbar))!r} mbar"
         )
     return 1.0 / rate
 

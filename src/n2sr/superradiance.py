@@ -77,8 +77,11 @@ class Regime(enum.IntEnum):
 
 def _check_handover_angle(theta_r: float) -> None:
     if not 0.0 < theta_r < math.pi:
+        # Fixed point for any angle a seed of sane strength gives; a huge
+        # angle in fixed point would print some 300 digits.
+        shown = f"{theta_r:.4f}" if abs(theta_r) < 1e6 else f"{theta_r:.4e}"
         raise ValueError(
-            f"the seed tips the Bloch vector to {theta_r:.4f} rad; "
+            f"the seed tips the Bloch vector to {shown} rad; "
             "theta_r must lie strictly inside (0, pi)"
         )
 
@@ -104,12 +107,18 @@ def characteristic_duration(medium: TwoLevelMedium, N=None):
     """Collective emission time scale tau_W = 4 hbar / (mu0 c omega mu^2 |w0| N L).
 
     N overrides medium.N and may be an array; the result is then elementwise.
+    A denominator that underflows to 0 raises NumericalError.
     """
     n = medium.N if N is None else N
-    if not np.greater(n, 0.0).all() or medium.w0 == 0.0:
-        raise NoSuperradianceError("collective emission requires N > 0 and w0 != 0")
     k = CONSTANTS
     denom = k.mu0 * k.c * medium.omega * medium.mu**2 * abs(medium.w0) * n * medium.L
+    if not np.greater(denom, 0.0).all():
+        if not np.greater(n, 0.0).all() or medium.w0 == 0.0:
+            raise NoSuperradianceError("collective emission requires N > 0 and w0 != 0")
+        raise NumericalError(
+            "tau_W is not finite: its denominator mu0 c omega mu^2 |w0| N L is 0 "
+            f"at N = {float(np.min(n))!r} m^-3"
+        )
     return 4.0 * k.hbar / denom
 
 

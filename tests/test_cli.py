@@ -452,6 +452,21 @@ class TestArithmeticFailures:
             "underflows to 0 at p = 6.0 mbar\n"
         )
 
+    @pytest.mark.parametrize("command", ["pressure-scan", "validate"])
+    @pytest.mark.parametrize("override, line", [
+        ("anchor_p_mbar=1.7976931348623157e308",
+         "tau_W is not finite: its denominator mu0 c omega mu^2 |w0| N L is 0 at N = "),
+        ("sigma_cm2=1.7976931348623157e308",
+         "the collision rate sigma f_ion n v_e is not finite at p = 20.0 mbar\n"),
+        ("temperature_k=1e-300",
+         "the collision rate sigma f_ion n v_e is not finite at p = 20.0 mbar\n"),
+    ], ids=["huge-anchor-pressure", "huge-cross-section", "tiny-temperature"])
+    def test_non_finite_closed_form_exits_2(self, tmp_path, capsys, command, override, line):
+        """One line naming the quantity, and no RuntimeWarning (the suite makes warnings errors)."""
+        assert main([command, "--set", override, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: " + line) and err.count("\n") == 1
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("command", ["pressure-scan", "validate"])
@@ -460,6 +475,15 @@ class TestUsageErrors:
         assert main(args) == 1
         assert capsys.readouterr().err == (
             "error: the seed tips the Bloch vector to 5.5000 rad; "
+            "theta_r must lie strictly inside (0, pi)\n"
+        )
+
+    @pytest.mark.parametrize("command", ["pressure-scan", "validate", "regimes"])
+    def test_huge_angle_is_named_briefly(self, tmp_path, capsys, command):
+        args = [command, "--set", "tau_s_ps=1.7976931348623157e308", "--out", str(tmp_path)]
+        assert main(args) == 1
+        assert capsys.readouterr().err == (
+            "error: the seed tips the Bloch vector to 1.2026e+308 rad; "
             "theta_r must lie strictly inside (0, pi)\n"
         )
 

@@ -180,6 +180,13 @@ class TestStepCap:
         with pytest.raises(ConfigError, match="dt_over_tau_s"):
             load_config(overrides=["dt_over_tau_s=1e-5", "tau_r_over_tau_s=20"])
 
+    @pytest.mark.parametrize("step", ["3.6", "4", "1.7976931348623157e308"])
+    def test_step_at_or_past_tau_r_names_the_key(self, step):
+        """The seed kernel needs dt < tau_r; the parser says so, naming the key."""
+        assert load_config(overrides=["dt_over_tau_s=3.5"]).dt_over_tau_s == 3.5
+        with pytest.raises(ConfigError, match="config key 'dt_over_tau_s' is .* shorter than the seed stage"):
+            load_config(overrides=[f"dt_over_tau_s={step}"])
+
     def test_absurd_step_is_rejected(self):
         # Uncapped, this would ask the seed kernel for about 7e12 nodes.
         with pytest.raises(ConfigError, match="dt_over_tau_s"):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from n2sr.constants import CONSTANTS, per_m3_to_per_cm3, ps_to_s, s_to_ps
+from n2sr.errors import NumericalError
 from n2sr.pressure import (
     REFERENCE_DENSITY_SLOPE_PER_CM3_MBAR,
     BelowThresholdError,
@@ -142,6 +143,16 @@ class TestDephasing:
             dephasing_time(6.0, tiny)
         with pytest.raises(ZeroDivisionError, match=message):
             dephasing_time(np.array([8.0, 6.0, 20.0]), tiny)
+
+    @pytest.mark.parametrize("field, value", [("sigma", 1e304), ("temperature", 1e-300)])
+    def test_overflowing_collision_rate_raises(self, dephasing, field, value):
+        """A rate that overflows raises NumericalError, unwarned, for a scalar and an array."""
+        huge = dataclasses.replace(dephasing, **{field: value})
+        message = r"collision rate sigma f_ion n v_e is not finite at p = 20\.0 mbar"
+        with pytest.raises(NumericalError, match=message):
+            dephasing_time(20.0, huge)
+        with pytest.raises(NumericalError, match=message):
+            dephasing_time(np.array([8.0, 6.0, 20.0]), huge)
 
     def test_validity_margin_definition(self, cfg):
         check = superradiance_valid(200e-12, ps_to_s(1.666), ps_to_s(6.287), cfg.validity_threshold)
