@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
+
 __all__ = [
     "PhysicalConstants",
     "CONSTANTS",
@@ -72,12 +74,20 @@ def wavelength_to_angular_frequency(wavelength_m: float) -> float:
 
 
 def pressure_to_number_density(pressure_pa, temperature_k: float):
-    """Ideal-gas number density n = p / (kB T) in m^-3; elementwise for an array p."""
+    """Ideal-gas number density n = p / (kB T) in m^-3; elementwise for an array p.
+
+    A kB T that underflows to 0 raises NumericalError, naming T.
+    """
     if not temperature_k > 0.0:
         raise ValueError("temperature must be positive")
     if np.less(pressure_pa, 0.0).any():
         raise ValueError("pressure must be non-negative")
-    return pressure_pa / (CONSTANTS.kB * temperature_k)
+    kt = CONSTANTS.kB * temperature_k
+    if kt == 0.0:
+        raise NumericalError(
+            f"the number density p/(kB T) is not finite: kB T underflows to 0 at T = {temperature_k!r} K"
+        )
+    return pressure_pa / kt
 
 
 def mbar_to_pascal(p_mbar: float) -> float:

@@ -144,11 +144,14 @@ class TestDephasing:
         with pytest.raises(ZeroDivisionError, match=message):
             dephasing_time(np.array([8.0, 6.0, 20.0]), tiny)
 
-    @pytest.mark.parametrize("field, value", [("sigma", 1e304), ("temperature", 1e-300)])
-    def test_overflowing_collision_rate_raises(self, dephasing, field, value):
+    @pytest.mark.parametrize("field, value, message", [
+        ("sigma", 1e304, r"collision rate sigma f_ion n v_e is not finite at p = 20\.0 mbar"),
+        ("temperature", 1e-300, r"collision rate sigma f_ion n v_e is not finite at p = 20\.0 mbar"),
+        ("temperature", 5e-324, r"number density p/\(kB T\) is not finite: kB T underflows to 0"),
+    ])
+    def test_overflowing_collision_rate_raises(self, dephasing, field, value, message):
         """A rate that overflows raises NumericalError, unwarned, for a scalar and an array."""
         huge = dataclasses.replace(dephasing, **{field: value})
-        message = r"collision rate sigma f_ion n v_e is not finite at p = 20\.0 mbar"
         with pytest.raises(NumericalError, match=message):
             dephasing_time(20.0, huge)
         with pytest.raises(NumericalError, match=message):
