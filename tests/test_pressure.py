@@ -148,7 +148,7 @@ class TestDephasing:
         ("sigma", 1e304, r"collision rate sigma f_ion n v_e is not finite at p = 20\.0 mbar"),
         ("temperature", 1e-300, r"collision rate sigma f_ion n v_e is not finite at p = 20\.0 mbar"),
         ("temperature", 5e-324, r"number density p/\(kB T\) is not finite: kB T underflows to 0"),
-    ])
+    ], ids=["huge-sigma", "tiny-temperature", "zero-kT"])
     def test_overflowing_collision_rate_raises(self, dephasing, field, value, message):
         """A rate that overflows raises NumericalError, unwarned, for a scalar and an array."""
         huge = dataclasses.replace(dephasing, **{field: value})
