@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .constants import CONSTANTS, s_to_ps
-from .csvio import write_columns
+from .csvio import finite_columns, write_columns
 from .errors import NumericalError
 from .system import SeedPulse, TwoLevelMedium
 
@@ -57,9 +57,10 @@ class BlochTrajectory:
         return len(self.t)
 
     def write_csv(self, path) -> None:
-        write_columns(
-            path, "t_ps,u,v,w,theta_rad", [s_to_ps(self.t), self.u, self.v, self.w, self.theta]
-        )
+        header = "t_ps,u,v,w,theta_rad"
+        write_columns(path, header, finite_columns("trajectory", header, lambda: [
+            s_to_ps(self.t), self.u, self.v, self.w, self.theta,
+        ], lambda i: f"t = {self.t[i].item()!r} s"))
 
 
 def rabi_frequency_peak(pulse: SeedPulse, medium: TwoLevelMedium) -> float:
@@ -78,6 +79,9 @@ def bloch_angle(pulse: SeedPulse, medium: TwoLevelMedium, t):
     return rabi_frequency_peak(pulse, medium) * pulse.envelope_area(t)
 
 
+# A seed field near the float maximum overflows Omega, the RK4 factors or
+# their product; the check at the end names the first bad time instead.
+@np.errstate(over="ignore", invalid="ignore")
 def integrate_bloch_rwa(
     pulse: SeedPulse,
     medium: TwoLevelMedium,
@@ -144,9 +148,8 @@ def integrate_bloch_rwa(
     z[0] = 1.0
     z.real[1:] = 1.0 - a2 * (outer + a2) / 6.0 + a1 * a3 * a2_sq / 24.0
     z.imag[1:] = dtheta - a2_sq * outer / 12.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.cumprod(z, out=z)
-        z *= medium.w0
+    np.cumprod(z, out=z)
+    z *= medium.w0
     bad = np.flatnonzero(~np.isfinite(z))
     if bad.size:
         raise NumericalError(f"Bloch state became non-finite at t = {bad[0] * h:.6e} s")

@@ -227,6 +227,9 @@ def cmd_fit(cfg: RunConfig, trace_files: list[str], outdir: Path) -> int:
     traces = [read_trace_csv(p) for p in trace_files]
     fits = [fit_sech2(t) for t in traces]
     names = [Path(path).name for path in trace_files]
+    # Reduced before anything is written, so a trace with no pulse leaves no output.
+    with_pressure = [t for t in traces if t.pressure is not None]
+    summary = summarize_by_pressure(with_pressure)
 
     write_columns(
         outdir / "fits.csv",
@@ -248,7 +251,6 @@ def cmd_fit(cfg: RunConfig, trace_files: list[str], outdir: Path) -> int:
             f"tau_W = {s_to_ps(fit.tau_W):.3f} ps ({status})"
         )
 
-    with_pressure = [t for t in traces if t.pressure is not None]
     for trace in traces:
         if trace.pressure is None:
             print(
@@ -256,8 +258,8 @@ def cmd_fit(cfg: RunConfig, trace_files: list[str], outdir: Path) -> int:
                 "excluded from the pressure summary",
                 file=sys.stderr,
             )
-    if with_pressure:
-        write_summary_csv(outdir / "pulse_summary.csv", summarize_by_pressure(with_pressure))
+    if summary:
+        write_summary_csv(outdir / "pulse_summary.csv", summary)
     return 0
 
 

@@ -63,12 +63,12 @@ def _cells(col, lo: int):
 
 
 def finite_columns(table: str, header: str, build: Callable[[], list], row: Callable[[int], str]) -> list:
-    """The columns build() returns, computed without overflow warnings, for
-    write_columns. An array column holding a non-finite value (an overflowed
-    unit conversion, say) raises NumericalError instead, naming the table, the
-    first such column, its value and row(i) of its first such row i, so the
-    file is never opened."""
-    with np.errstate(over="ignore"):
+    """The columns build() returns, computed without overflow or invalid-value
+    warnings, for write_columns. An array column holding a non-finite value
+    (an overflowed unit conversion, say) raises NumericalError instead, naming
+    the table, the first such column, its value and row(i) of its first such
+    row i, so the file is never opened."""
+    with np.errstate(over="ignore", invalid="ignore"):
         columns = build()
     for name, col in zip(header.split(","), columns):
         if isinstance(col, np.ndarray) and not np.isfinite(col).all():

@@ -176,37 +176,34 @@ def density_from_pressure(cal: DensityCalibration, p_mbar):
     return cal.k * (p_mbar - cal.p0)
 
 
-def medium_at_pressure(
-    cal: DensityCalibration, medium_template: TwoLevelMedium, p_mbar: float
-) -> TwoLevelMedium:
+def medium_at_pressure(cal: DensityCalibration, medium_template: TwoLevelMedium, p_mbar) -> TwoLevelMedium:
+    """The template at density N(p); an array p gives the scan column N."""
     return replace(medium_template, N=density_from_pressure(cal, p_mbar))
 
 
-def total_emitted_energy(medium: TwoLevelMedium, theta_r: float, radius: float, N=None):
+def total_emitted_energy(medium: TwoLevelMedium, theta_r: float, radius: float):
     """Released energy hbar omega N w0 cos(theta_r) * pi r^2 L, linear in N.
 
     This is the stored-energy bookkeeping estimate; see
     emitted_energy_integral for the value obtained by integrating the burst
     power from tau_r onward, which differs by the factor (1 + cos)/2 cos.
-    N overrides medium.N and may be an array. The caller checks that
-    theta_r lies in (0, pi) and that the radius is positive, as
-    pressure_scan does once per scan.
+    Elementwise in a scan column N. The caller checks that theta_r lies in
+    (0, pi) and that the radius is positive, as pressure_scan does once per
+    scan.
     """
-    n = medium.N if N is None else N
     volume = math.pi * radius**2 * medium.L
-    return CONSTANTS.hbar * medium.omega * n * medium.w0 * math.cos(theta_r) * volume
+    return CONSTANTS.hbar * medium.omega * medium.N * medium.w0 * math.cos(theta_r) * volume
 
 
-def emitted_energy_integral(medium: TwoLevelMedium, theta_r: float, radius: float, N=None):
+def emitted_energy_integral(medium: TwoLevelMedium, theta_r: float, radius: float):
     """Burst energy from integrating P_s over t >= tau_r in closed form:
 
     (hbar omega N w0 / 2) (1 + cos theta_r) * pi r^2 L.
 
     N and the argument checks are as in total_emitted_energy.
     """
-    n = medium.N if N is None else N
     volume = math.pi * radius**2 * medium.L
-    return 0.5 * CONSTANTS.hbar * medium.omega * n * medium.w0 * (1.0 + math.cos(theta_r)) * volume
+    return 0.5 * CONSTANTS.hbar * medium.omega * medium.N * medium.w0 * (1.0 + math.cos(theta_r)) * volume
 
 
 def dephasing_time(p_mbar, params: DephasingParameters):
@@ -277,8 +274,9 @@ def pressure_scan(
 ) -> ScanTable:
     """Predict burst observables across a pressure grid (order preserved).
 
-    Every column comes from the closed forms applied elementwise to the
-    array of pressures (densities), with no per-pressure loop. The
+    Every column comes from the closed forms that the reference burst uses,
+    on one medium whose N is the scan's density column, with no
+    per-pressure loop. The
     seed-stage tipping angle does not depend on N, so a single theta_r is
     computed and checked once. Peak intensity and total energy are
     normalized to the maximum-pressure row; a normalized column that is not
@@ -295,27 +293,32 @@ def pressure_scan(
     if not radius > 0.0:
         raise ValueError("radius must be positive")
 
-    theta_r = bloch_angle(seed, medium_template, seed.tau_r)
-    m = medium_template
-    n = density_from_pressure(cal, p)
-    tau_w = characteristic_duration(m, n)
+    m = medium_at_pressure(cal, medium_template, p)
+    theta_r = bloch_angle(seed, m, seed.tau_r)
+    tau_w = characteristic_duration(m)
     # time_delay rejects a theta_r outside (0, pi), which the energies assume.
-    tau_d = time_delay(m, theta_r, seed.tau_r, n)
+    tau_d = time_delay(m, theta_r, seed.tau_r)
     tau_2 = dephasing_time(p, dephasing)
     check = superradiance_valid(tau_2, tau_w, tau_d, threshold=validity_threshold, p_mbar=p)
-    i_peak = peak_intensity(m, n)
-    e_total = total_emitted_energy(m, theta_r, radius, n)
+
+    def row(i):
+        return f"p = {p[i].item()!r} mbar"
+
+    # N^2 can overflow where the product w0^2 N^2 would not (a tiny w0).
+    i_peak, e_total = finite_columns("scan", "I_peak,E_total", lambda: [
+        peak_intensity(m), total_emitted_energy(m, theta_r, radius),
+    ], row)
     i_ref = int(np.argmax(p))
     # A reference row that underflowed to 0 (a tiny radius, say) gives NaN.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore"):
         i_norm, e_norm = finite_columns("scan", "I_peak_norm,E_total_norm", lambda: [
             i_peak / i_peak[i_ref], e_total / e_total[i_ref],
-        ], lambda i: f"p = {p[i].item()!r} mbar")
+        ], row)
     return ScanTable(
-        theta_r=theta_r, p_mbar=p, N=n, tau_W=tau_w, tau_D=tau_d,
+        theta_r=theta_r, p_mbar=p, N=m.N, tau_W=tau_w, tau_D=tau_d,
         I_peak=i_peak, I_peak_norm=i_norm,
         E_total=e_total, E_total_norm=e_norm,
-        E_total_integral=emitted_energy_integral(m, theta_r, radius, n),
+        E_total_integral=emitted_energy_integral(m, theta_r, radius),
         dephasing=tau_2, validity_margin=check.margin, valid=check.valid,
     )
 

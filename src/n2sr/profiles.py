@@ -27,6 +27,7 @@ __all__ = [
     "PulseSummary",
     "SECH2_FWHM_EXACT",
     "SECH2_FWHM_NOMINAL",
+    "FIT_TOL", "FIT_MAX_ITER",
     "sech2_profile",
     "synthesize_sech2_trace",
     "extract_fwhm",
@@ -43,6 +44,10 @@ __all__ = [
 SECH2_FWHM_EXACT = 2.0 * math.acosh(math.sqrt(2.0))
 # Three-digit rule used in the measurement reduction; kept as published.
 SECH2_FWHM_NOMINAL = 1.763
+# fit_sech2 stops once a relative parameter step is below FIT_TOL, or gives
+# up after FIT_MAX_ITER iterations.
+FIT_TOL = 1e-8
+FIT_MAX_ITER = 200
 
 
 class NotAPulseError(ValueError):
@@ -200,12 +205,7 @@ def _baseline(y: np.ndarray) -> float:
     return float(low[k // 2]) if k % 2 else float((low[k // 2 - 1] + low[k // 2]) / 2.0)
 
 
-def fit_sech2(
-    trace: TemporalTrace,
-    init: Optional[tuple[float, float, float]] = None,
-    tol: float = 1e-8,
-    max_iter: int = 200,
-) -> SechFit:
+def fit_sech2(trace: TemporalTrace, init: Optional[tuple[float, float, float]] = None) -> SechFit:
     """Least-squares fit of A sech^2((t - tau_D)/tau_W) to a trace.
 
     The trace is baseline-subtracted (median of the lowest decile) first.
@@ -214,8 +214,8 @@ def fit_sech2(
     a rejected step and shrinks tenfold on an accepted one. Each trial point
     is evaluated once, and the normal equations are built once per accepted
     point and kept across the rejected steps that follow it. Convergence is
-    declared when the relative parameter step falls below `tol` (default
-    1e-8) within `max_iter` iterations; otherwise the best parameters so far
+    declared when the relative parameter step falls below FIT_TOL within
+    FIT_MAX_ITER iterations; otherwise the best parameters so far
     are returned with converged=False. The tau_D step is taken relative to
     max(|tau_D|, tau_W), so a pulse centred at t = 0 can converge.
 
@@ -267,7 +267,7 @@ def fit_sech2(
     cost = float(r @ r)
     lam = 1e-3
     converged = False
-    for _ in range(max_iter):
+    for _ in range(FIT_MAX_ITER):
         try:
             step = np.linalg.solve(jtj + lam * diag, g)
         except np.linalg.LinAlgError:
@@ -285,7 +285,7 @@ def fit_sech2(
             rel_step = float(np.max(np.abs(step) / np.maximum(scale, 1e-300)))
             p, r, cost = trial, r_trial, cost_trial
             lam = max(lam * 0.1, 1e-15)
-            if rel_step < tol:
+            if rel_step < FIT_TOL:
                 converged = True
                 break
             # Built once per accepted point, kept across the rejected steps after it.

@@ -103,14 +103,13 @@ def classify_regime(w0: float, theta_r: float) -> Regime:
     return Regime.ABSORBING_WEAK_SEED if weak else Regime.ABSORBING_STRONG_SEED
 
 
-def characteristic_duration(medium: TwoLevelMedium, N=None):
+def characteristic_duration(medium: TwoLevelMedium):
     """Collective emission time scale tau_W = 4 hbar / (mu0 c omega mu^2 |w0| N L).
 
-    N overrides medium.N and may be an array; the result is then elementwise.
-    A denominator that underflows to 0 raises NumericalError.
+    Elementwise when medium.N is a scan column. A denominator that
+    underflows to 0 raises NumericalError.
     """
-    n = medium.N if N is None else N
-    k = CONSTANTS
+    k, n = CONSTANTS, medium.N
     denom = k.mu0 * k.c * medium.omega * medium.mu**2 * abs(medium.w0) * n * medium.L
     if not np.greater(denom, 0.0).all():
         if not np.greater(n, 0.0).all() or medium.w0 == 0.0:
@@ -132,17 +131,16 @@ def _branch(w0: float) -> float:
     return math.copysign(1.0, w0)
 
 
-def time_delay(medium: TwoLevelMedium, theta_r: float, tau_r: float, N=None):
+def time_delay(medium: TwoLevelMedium, theta_r: float, tau_r: float):
     """Burst delay tau_D = tau_r - sign(w0) tau_W ln tan(theta_r / 2).
 
     For an inverted medium this exceeds tau_r exactly when theta_r < pi/2
     (the smaller the tipping angle, the longer the lever arm of the unstable
     equilibrium); for an absorbing medium the inequality flips. Diverges
-    logarithmically as theta_r -> 0 or pi. N overrides medium.N and may be
-    an array.
+    logarithmically as theta_r -> 0 or pi. Elementwise in a scan column N.
     """
     _check_handover_angle(theta_r)
-    tau_w = characteristic_duration(medium, N)
+    tau_w = characteristic_duration(medium)
     # ln tan(pi/4) is 0; special-cased so the midpoint maps to tau_r exactly.
     log_tan = 0.0 if theta_r == 0.5 * math.pi else math.log(math.tan(0.5 * theta_r))
     return tau_r - _branch(medium.w0) * tau_w * log_tan
@@ -189,21 +187,20 @@ class SuperradianceSolution:
                            self.tau_D + window_tau_w * self.tau_W, n)
 
 
-def peak_power_density(medium: TwoLevelMedium, N=None):
+def peak_power_density(medium: TwoLevelMedium):
     """Burst peak power per volume, P0 = mu0 c omega^2 mu^2 w0^2 N^2 L / 8.
 
-    N overrides medium.N and may be an array. numpy squares an array as
-    N * N while a Python float's N**2 goes through libm pow, so the two
-    can differ in the last bit.
+    Elementwise in a scan column N. numpy squares an array as N * N while a
+    Python float's N**2 goes through libm pow, so the two can differ in the
+    last bit.
     """
     k = CONSTANTS
-    n = medium.N if N is None else N
-    return 0.125 * k.mu0 * k.c * medium.omega**2 * medium.mu**2 * medium.w0**2 * n**2 * medium.L
+    return 0.125 * k.mu0 * k.c * medium.omega**2 * medium.mu**2 * medium.w0**2 * medium.N**2 * medium.L
 
 
-def peak_intensity(medium: TwoLevelMedium, N=None):
+def peak_intensity(medium: TwoLevelMedium):
     """Burst peak intensity, exactly peak_power_density * L (scales as N^2 L^2)."""
-    return peak_power_density(medium, N) * medium.L
+    return peak_power_density(medium) * medium.L
 
 
 def solve_after_seed(medium: TwoLevelMedium, theta_r: float, tau_r: float) -> SuperradianceSolution:

@@ -35,7 +35,7 @@ class TwoLevelMedium:
 
     omega: float  # transition angular frequency, rad/s
     mu: float     # transition dipole moment, C m
-    N: float      # emitter number density, m^-3
+    N: float      # emitter number density, m^-3; a 1-D array for a scan column
     L: float      # medium length along the emission axis, m
     w0: float     # initial population-probability difference, in [-1, 1]
 
@@ -44,7 +44,7 @@ class TwoLevelMedium:
             raise ValueError("omega must be positive")
         if not self.mu > 0.0:
             raise ValueError("mu must be positive")
-        if self.N < 0.0:
+        if np.less(self.N, 0.0).any():
             raise ValueError("N must be non-negative")
         if not self.L > 0.0:
             raise ValueError("L must be positive")

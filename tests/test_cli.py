@@ -82,6 +82,18 @@ class TestSeedPhase:
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, line", [
+        (["seed_e0_v_m=1e300"], "Bloch state became non-finite at t = 1.300000e-16 s"),
+        (["seed_intensity_mw_cm2=0", "tau_s_ps=1.7976931348623157e308"],
+         "trajectory column 't_ps' is inf at t = 1.7985919814297464e+296 s"),
+    ], ids=["huge-field", "huge-seed-width"])
+    def test_non_finite_run_exits_2_quietly(self, tmp_path, capsys, overrides, line):
+        """One line naming the failure, no RuntimeWarning (the suite makes warnings errors), no CSV."""
+        args = [a for o in overrides for a in ("--set", o)]
+        assert main(["seed-phase", *args, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr() == ("", f"numerical failure: {line}\n")
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["run-manifest.txt"]
+
 
 @pytest.fixture(scope="module")
 def regimes_dir(tmp_path_factory):
@@ -300,6 +312,16 @@ class TestFit:
         assert capsys.readouterr().err == ""
         assert read_csv(tmp_path / "out" / "fits.csv")["converged"] == ["True"]
 
+    def test_unreducible_trace_leaves_no_output(self, tmp_path, capsys):
+        """A trace rising to its last sample fails the summary before fits.csv is written."""
+        path = tmp_path / "ramp.csv"
+        rows = "".join(f"{0.1 * i!r},{1 + 0.01 * i!r}\n" for i in range(64))
+        path.write_text("# pressure_mbar=8.0\ntime_ps,intensity_arb\n" + rows)
+        out = tmp_path / "out"
+        assert main(["fit", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", "error: trace 'ramp' peaks on the boundary\n")
+        assert sorted(f.name for f in out.iterdir()) == ["run-manifest.txt"]
+
     def test_malformed_trace_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("time_ps,intensity_arb\n0.0,1.0\nnope,2.0\n")
@@ -466,6 +488,21 @@ class TestArithmeticFailures:
         assert main([command, "--set", override, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: " + line) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["pressure-scan", "validate"])
+    @pytest.mark.parametrize("w0, value", [
+        ("1.4998098156348833e-139", "inf"),
+        ("1.7471761246767465e-162", "nan"),
+        ("1.4005611425667378e-235", "nan"),
+    ])
+    def test_overflowing_peak_intensity_is_named(self, tmp_path, capsys, command, w0, value):
+        """The calibrated N ~ 1/w0 overflows N^2: the scan names I_peak, the reference burst P0."""
+        assert main([command, "--set", f"w0={w0}", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        if command == "pressure-scan":
+            assert err == f"numerical failure: scan column 'I_peak' is {value} at p = 6.0 mbar\n"
+        else:
+            assert err.startswith("numerical failure: burst peak P0 = inf") and err.count("\n") == 1
 
 
 class TestUsageErrors:

@@ -3,7 +3,8 @@
 Each example overrides a few RunConfig keys (every key is drawn from, with
 extremes down to 1e-300 and up to 1e300) and runs seed-phase, regimes,
 pressure-scan and validate in-process. Each must return 0, 1, 2 or 3 with
-no exception escaping, and a non-zero exit must leave exactly one stderr line.
+no exception escaping and no warning, and a non-zero exit must leave exactly
+one stderr line.
 
 Step-count keys are drawn so that the seed RK4 runs at most about 1e5
 steps when the config is accepted: tau_r_over_tau_s <= 50 with
@@ -70,17 +71,15 @@ def overrides(draw):
     return {key: draw(VALUES[key]) for key in keys}
 
 
-def run(command: str, overrides: dict) -> tuple[int, str]:
+def run(command: str, overrides: dict) -> tuple[int, str, list[str]]:
+    """Exit code, stderr and the messages of the warnings the command raised."""
     args = [a for key, value in overrides.items() for a in ("--set", f"{key}={value!r}")]
     err = io.StringIO()
-    # The CLI prints numpy RuntimeWarnings and carries on; ignoring them here
-    # keeps the suite-wide warnings-as-errors setting from turning them into
-    # exceptions that the real command never raises.
-    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings(), \
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("always")
         code = main([command, *args, "--out", out])
-    return code, err.getvalue()
+    return code, err.getvalue(), [str(w.message) for w in caught]
 
 
 @settings(max_examples=60, deadline=None)
@@ -88,8 +87,14 @@ def run(command: str, overrides: dict) -> tuple[int, str]:
 @example({"lambda_nm": 1e300})
 @example({"radius_um": 1e200})
 @example({"sigma_cm2": 1e-300, "ionization_fraction": 1e-300})
+@example({"seed_e0_v_m": 1e300})
+@example({"seed_intensity_mw_cm2": 0.0, "tau_s_ps": 1.7976931348623157e308})
+@example({"w0": 1.4998098156348833e-139})
+@example({"w0": 1.7471761246767465e-162})
+@example({"w0": 1.4005611425667378e-235})
 def test_every_command_exits_with_a_documented_code(overrides):
     for command in COMMANDS:
-        code, err = run(command, overrides)
+        code, err, caught = run(command, overrides)
         assert code in (0, 1, 2, 3), (command, code, err)
         assert err.count("\n") == (code != 0), (command, code, err)
+        assert caught == [], (command, code, caught)

@@ -326,11 +326,17 @@ class TestColumnarScan:
     def test_array_calls_equal_scalar_calls(self, anchor_medium, dephasing):
         n = anchor_medium.N * np.array([0.5, 1.0, 3.0])
         p = np.array([3.0, 8.0, 25.0])
+        column = dataclasses.replace(anchor_medium, N=n)
         for j in range(3):
             m = dataclasses.replace(anchor_medium, N=float(n[j]))
-            assert characteristic_duration(anchor_medium, n)[j] == characteristic_duration(m)
-            assert time_delay(anchor_medium, THETA_R, 1e-12, n)[j] == time_delay(m, THETA_R, 1e-12)
-            assert ulps(peak_power_density(anchor_medium, n)[j], peak_power_density(m)) <= 1.0
+            assert characteristic_duration(column)[j] == characteristic_duration(m)
+            assert time_delay(column, THETA_R, 1e-12)[j] == time_delay(m, THETA_R, 1e-12)
+            assert ulps(peak_power_density(column)[j], peak_power_density(m)) <= 1.0
+            assert ulps(peak_intensity(column)[j], peak_intensity(m)) <= 1.0
+            assert total_emitted_energy(column, THETA_R, 50e-6)[j] == total_emitted_energy(m, THETA_R, 50e-6)
+            assert emitted_energy_integral(column, THETA_R, 50e-6)[j] == emitted_energy_integral(
+                m, THETA_R, 50e-6
+            )
             assert dephasing_time(p, dephasing)[j] == dephasing_time(float(p[j]), dephasing)
 
     def test_scalar_calls_return_python_types(self, anchor_medium, dephasing, cfg):

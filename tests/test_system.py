@@ -39,6 +39,12 @@ class TestTwoLevelMedium:
         with pytest.raises(ValueError):
             TwoLevelMedium(**base)
 
+    def test_density_column_with_a_negative_element_rejected(self):
+        base = dict(omega=4.8e15, mu=5.7e-30, L=0.01, w0=0.1)
+        assert TwoLevelMedium(**base, N=np.array([0.0, 1e21])).N.tolist() == [0.0, 1e21]
+        with pytest.raises(ValueError, match="^N must be non-negative$"):
+            TwoLevelMedium(**base, N=np.array([1e21, -1.0, 2e21]))
+
     def test_w0_endpoints_allowed(self):
         for w0 in (-1.0, 1.0):
             m = TwoLevelMedium(omega=4.8e15, mu=5.7e-30, N=1e21, L=0.01, w0=w0)
