@@ -276,11 +276,11 @@ def pressure_scan(
 
     Every column comes from the closed forms that the reference burst uses,
     on one medium whose N is the scan's density column, with no
-    per-pressure loop. The
-    seed-stage tipping angle does not depend on N, so a single theta_r is
-    computed and checked once. Peak intensity and total energy are
-    normalized to the maximum-pressure row; a normalized column that is not
-    finite raises NumericalError, naming it and its first such pressure.
+    per-pressure loop. The seed-stage tipping angle does not depend on N,
+    so a single theta_r is computed and checked once. Peak intensity and
+    total energy are normalized to the maximum-pressure row; any of these
+    four columns that is not finite raises NumericalError, naming it and
+    its first such pressure.
     """
     if len(pressures) == 0:
         raise ValueError("at least one pressure is required")
