@@ -74,12 +74,7 @@ def _build_parser() -> _Parser:
     add_common(fit)
     fit.add_argument("traces", nargs="+", metavar="TRACE_CSV")
 
-    val = sub.add_parser("validate", help="run the physics invariant checks")
-    add_common(val)
-    val.add_argument(
-        "--corrupt", default=None, metavar="CONSTANT",
-        help="test hook: perturb a physical constant so the checks must fail",
-    )
+    add_common(sub.add_parser("validate", help="run the physics invariant checks"))
     return parser
 
 
@@ -263,11 +258,8 @@ def cmd_fit(cfg: RunConfig, trace_files: list[str], outdir: Path) -> int:
     return 0
 
 
-def cmd_validate(cfg: RunConfig, corrupt: Optional[str], outdir: Path) -> int:
-    try:
-        results = run_validation_checks(cfg, corrupt)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+def cmd_validate(cfg: RunConfig, outdir: Path) -> int:
+    results = run_validation_checks(cfg)
     lines = [
         f"{'PASS' if r.passed else 'FAIL'}  {r.name}: {r.detail}" for r in results
     ]
@@ -300,7 +292,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_pressure_scan(cfg, _parse_pressures(args.pressures), outdir)
         if args.command == "fit":
             return cmd_fit(cfg, args.traces, outdir)
-        return cmd_validate(cfg, args.corrupt, outdir)
+        return cmd_validate(cfg, outdir)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

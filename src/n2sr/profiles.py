@@ -181,7 +181,9 @@ def extract_peak_delay(trace: TemporalTrace) -> float:
     """Peak time refined by a parabola through the maximum and its neighbours."""
     i = _peak_index(trace)
     t0, t1, t2 = trace.t[i - 1], trace.t[i], trace.t[i + 1]
-    y0, y1, y2 = trace.intensity[i - 1], trace.intensity[i], trace.intensity[i + 1]
+    # Scaled exactly, by a power of two, to a peak in [0.5, 1), so the
+    # difference quotients cannot overflow at any amplitude.
+    y0, y1, y2 = np.ldexp(trace.intensity[i - 1:i + 2], -math.frexp(trace.intensity[i])[1])
     d1 = (y1 - y0) / (t1 - t0)
     d2 = (y2 - y1) / (t2 - t1)
     dd = (d2 - d1) / (t2 - t0)
@@ -208,7 +210,11 @@ def _baseline(y: np.ndarray) -> float:
 def fit_sech2(trace: TemporalTrace, init: Optional[tuple[float, float, float]] = None) -> SechFit:
     """Least-squares fit of A sech^2((t - tau_D)/tau_W) to a trace.
 
-    The trace is baseline-subtracted (median of the lowest decile) first.
+    The trace is baseline-subtracted (median of the lowest decile) first,
+    and fitted as a copy scaled by a power of two to a peak in [0.5, 1).
+    That scaling is exact, so the fit of 2^k times a trace is 2^k times its
+    fit, and the normal equations neither overflow nor underflow at any
+    amplitude.
     Minimization is damped Gauss-Newton with an analytic Jacobian and a
     multiplicative damping schedule: lambda starts at 1e-3, grows tenfold on
     a rejected step and shrinks tenfold on an accepted one. Each trial point
@@ -224,7 +230,9 @@ def fit_sech2(trace: TemporalTrace, init: Optional[tuple[float, float, float]] =
     can be located that way is reported as converged=False without fitting.
     """
     t = trace.t
-    y = trace.intensity - _baseline(trace.intensity)
+    exponent = math.frexp(trace.intensity.max())[1]
+    y = np.ldexp(trace.intensity, -exponent)
+    y -= _baseline(y)
 
     if init is None:
         try:
@@ -237,12 +245,14 @@ def fit_sech2(trace: TemporalTrace, init: Optional[tuple[float, float, float]] =
             i = int(np.argmax(y))
             fallback = (float(y.max()), float(t[i]), float((t[-1] - t[0]) / 4.0))
             resid = y - sech2_profile(t, *fallback)
-            return SechFit(*fallback, rms_residual=float(np.sqrt(np.mean(resid**2))),
+            return SechFit(math.ldexp(fallback[0], exponent), *fallback[1:],
+                           rms_residual=math.ldexp(float(np.sqrt(np.mean(resid**2))), exponent),
                            converged=False)
     else:
         p = np.array(init, dtype=float)
         if not p[2] > 0.0:
             raise ValueError("initial tau_W must be positive")
+        p[0] = math.ldexp(p[0], -exponent)
 
     def evaluate(params):
         """The residual at params, with the x = (t - tau_D)/tau_W and cosh(x)^2
@@ -298,10 +308,10 @@ def fit_sech2(trace: TemporalTrace, init: Optional[tuple[float, float, float]] =
     if p[0] <= 0.0:
         converged = False
     return SechFit(
-        amplitude=float(p[0]),
+        amplitude=math.ldexp(p[0], exponent),
         tau_D=float(p[1]),
         tau_W=float(p[2]),
-        rms_residual=float(np.sqrt(np.mean(r**2))),
+        rms_residual=math.ldexp(float(np.sqrt(np.mean(r**2))), exponent),
         converged=converged,
     )
 

@@ -358,12 +358,6 @@ class TestValidate:
         assert len(report) == 11
         assert all(line.startswith("PASS") for line in report)
 
-    def test_corrupted_constant_fails_named_check(self, tmp_path, capsys):
-        assert main(["validate", "--corrupt", "mu0", "--out", str(tmp_path)]) == 3
-        captured = capsys.readouterr()
-        assert "FAIL  constants-product" in captured.out
-        assert "constants-product" in captured.err
-
     def test_field_amplitude_seed_passes(self, tmp_path, capsys):
         args = ["--set", "seed_intensity_mw_cm2=none", "--set", "seed_e0_v_m=5e6"]
         assert main(["validate", *args, "--out", str(tmp_path)]) == 0
@@ -385,8 +379,11 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "at p = 6.0 mbar" in err and err.count("\n") == 1
 
-    def test_unknown_corrupt_name_exits_1(self, tmp_path):
-        assert main(["validate", "--corrupt", "bogus", "--out", str(tmp_path)]) == 1
+    def test_unknown_corrupt_name_exits_1(self, tmp_path, capsys):
+        """validate has no --corrupt option: argparse rejects any name with one line."""
+        for name in ("mu0", "bogus"):
+            assert main(["validate", "--corrupt", name, "--out", str(tmp_path)]) == 1
+            assert capsys.readouterr().err == f"error: unrecognized arguments: --corrupt {name}\n"
 
     def test_overflowing_margin_passes_quietly(self, tmp_path, capsys):
         """An infinite dephasing margin is valid; validate reports it without a warning."""

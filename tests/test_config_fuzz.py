@@ -1,4 +1,5 @@
-"""Config fuzz: every config the parser accepts runs or exits with a documented code.
+"""Config and trace fuzz: every config the parser accepts, and every trace
+`sr fit` is given, runs or exits with a documented code.
 
 Each example overrides a few RunConfig keys (every key is drawn from, with
 extremes down to 1e-300 and up to 1e300) and runs seed-phase, regimes,
@@ -12,6 +13,11 @@ dt_over_tau_s >= 5e-4. Smaller step sizes are drawn only as extremes,
 which the 1e6-step cap rejects at parse time. The pendulum oracle's step
 is fixed by the check, not by the config.
 Grid keys stay at or below 5000 points, or just past the grid cap.
+
+The trace fuzz writes one trace with pressure metadata per example and runs
+`sr fit` on it in-process: 1 to 200 rows of a flat, zero, spike, edge,
+plateau, two-peak, noise or sech^2 shape, at steps of 1e-6 to 1e6 ps and
+amplitudes 10**u for u in [-300, 308].
 """
 
 import contextlib
@@ -19,7 +25,9 @@ import dataclasses
 import io
 import tempfile
 import warnings
+from pathlib import Path
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -92,9 +100,64 @@ def run(command: str, overrides: dict) -> tuple[int, str, list[str]]:
 @example({"w0": 1.4998098156348833e-139})
 @example({"w0": 1.7471761246767465e-162})
 @example({"w0": 1.4005611425667378e-235})
+@example({"anchor_tau_w_ps": 1e160})
 def test_every_command_exits_with_a_documented_code(overrides):
     for command in COMMANDS:
         code, err, caught = run(command, overrides)
         assert code in (0, 1, 2, 3), (command, code, err)
         assert err.count("\n") == (code != 0), (command, code, err)
         assert caught == [], (command, code, caught)
+
+
+SHAPES = {
+    "flat": lambda x, rng: np.ones_like(x),
+    "zero": lambda x, rng: np.zeros_like(x),
+    "spike": lambda x, rng: (np.arange(len(x)) == len(x) // 2).astype(float),
+    "edge": lambda x, rng: np.exp(-(((x - 1.0) / 0.1) ** 2)),
+    "plateau": lambda x, rng: np.clip(2.0 - 8.0 * np.abs(x - 0.5), 0.0, 1.0),
+    "two-peak": lambda x, rng: np.exp(-(((x - 0.3) / 0.05) ** 2)) + 0.7 * np.exp(-(((x - 0.7) / 0.05) ** 2)),
+    "noise": lambda x, rng: rng.random(len(x)),
+    "sech2": lambda x, rng: 1.0 / np.cosh((x - 0.5) / 0.1) ** 2,
+}
+
+
+@st.composite
+def traces(draw):
+    """(t_ps, intensity) columns of a drawn shape times 10**u."""
+    n = draw(st.integers(min_value=1, max_value=200))
+    step = 10.0 ** draw(st.floats(min_value=-6.0, max_value=6.0))
+    amplitude = 10.0 ** draw(st.floats(min_value=-300.0, max_value=308.0))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    y = SHAPES[draw(st.sampled_from(sorted(SHAPES)))](np.linspace(0.0, 1.0, n), rng)
+    return (step * (np.arange(n) - n // 2)).tolist(), (amplitude * y).tolist()
+
+
+GAUSSIAN_PS = np.linspace(-10.0, 10.0, 64)
+
+
+def gaussian(factor):
+    return GAUSSIAN_PS.tolist(), (factor * np.exp(-GAUSSIAN_PS**2)).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(traces())
+@example(gaussian(1e150))
+@example(gaussian(1e200))
+@example(gaussian(1e300))
+def test_fit_exits_with_a_documented_code(trace):
+    t_ps, intensity = trace
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        path = Path(tmp) / "trace.csv"
+        path.write_text("# pressure_mbar=8.0\ntime_ps,intensity_arb\n" + "".join(
+            f"{t!r},{y!r}\n" for t, y in zip(t_ps, intensity)))
+        code = main(["fit", str(path), "--out", str(Path(tmp) / "out")])
+        fits = Path(tmp) / "out" / "fits.csv"
+        written = fits.read_text() if fits.exists() else ""
+    err = err.getvalue()
+    assert code in (0, 1, 2), (code, err)
+    assert err.count("\n") == (code != 0), (code, err)
+    assert [str(w.message) for w in caught] == [], (code, err)
+    assert "inf" not in written and "nan" not in written, written

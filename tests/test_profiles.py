@@ -265,13 +265,25 @@ class TestFit:
         fit = fit_sech2(TemporalTrace(t=t, intensity=np.full(64, 1e-9)))
         assert not fit.converged
 
-    def test_scale_equivariance(self):
+    @pytest.mark.parametrize(
+        "factor",
+        [4.0, 2.0**500, 2.0**-900, 1e150, 1e-300, 1e300],
+        ids=["4", "2**500", "2**-900", "1e150", "1e-300", "1e300"],
+    )
+    def test_scale_equivariance(self, factor):
+        """Over the whole float range: bit for bit for a power of two, to 1e-9 otherwise."""
         tr = synthesize_sech2_trace(1.0, ps_to_s(5.0), ps_to_s(1.0), 0.0, ps_to_s(10.0), 501)
-        scaled = TemporalTrace(t=tr.t, intensity=4.0 * tr.intensity)
-        f1, f4 = fit_sech2(tr), fit_sech2(scaled)
-        assert f4.amplitude == pytest.approx(4.0 * f1.amplitude, rel=1e-9)
-        assert f4.tau_D == pytest.approx(f1.tau_D, rel=1e-9)
-        assert f4.tau_W == pytest.approx(f1.tau_W, rel=1e-9)
+        f1 = fit_sech2(tr)
+        f = fit_sech2(TemporalTrace(t=tr.t, intensity=factor * tr.intensity))
+        assert f.converged and f1.converged
+        if math.frexp(factor)[0] == 0.5:
+            assert (f.amplitude, f.tau_D, f.tau_W, f.rms_residual) == (
+                factor * f1.amplitude, f1.tau_D, f1.tau_W, factor * f1.rms_residual
+            )
+        else:
+            assert f.amplitude == pytest.approx(factor * f1.amplitude, rel=1e-9)
+            assert f.tau_D == pytest.approx(f1.tau_D, rel=1e-9)
+            assert f.tau_W == pytest.approx(f1.tau_W, rel=1e-9)
 
     def test_translation_equivariance(self):
         tr = synthesize_sech2_trace(1.0, ps_to_s(5.0), ps_to_s(1.0), 0.0, ps_to_s(10.0), 501)

@@ -1,10 +1,11 @@
+import copy
 import dataclasses
 import sys
 
 import numpy as np
 import pytest
 
-from n2sr import bloch, config, validation
+from n2sr import bloch, config, constants, pressure, profiles, superradiance, system, validation
 from n2sr.cli import main
 from n2sr.superradiance import characteristic_duration, solve_after_seed
 from n2sr.validation import run_validation_checks
@@ -15,7 +16,7 @@ EXPECTED_CHECKS = [
     "bloch-conservation",
     "bloch-closed-form",
     "pendulum-closed-form",
-    "intensity-power-identity",
+    "intensity-field-identity",
     "energy-bookkeeping",
     "sech2-width-rule",
     "calibration-roundtrip",
@@ -31,16 +32,151 @@ def test_all_checks_pass_with_defaults(cfg):
     assert failed == []
 
 
+# The defect matrix: each row puts one real defect into the package, runs
+# `sr validate` on the default config and asserts the exact set of checks
+# that fail. Every check is the only failure of at least one row. README
+# ("What each check guards") lists the same rows.
+
+
+def rebind(monkeypatch, name, original, replacement, only=None):
+    """Bind replacement in place of original in every n2sr module that binds
+    it under name, or only in the modules named in `only`."""
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("n2sr") and getattr(module, name, None) is original:
+            if only is None or module.__name__ in only:
+                monkeypatch.setattr(module, name, replacement)
+
+
+def wrapped(function, wrap, only=None):
+    """The defect that replaces function by wrap(function)."""
+    def inject(monkeypatch):
+        rebind(monkeypatch, function.__name__, function, wrap(function), only)
+    return inject
+
+
+def scaled(function, factor, only=None):
+    return wrapped(function, lambda f: lambda *a, **kw: factor * f(*a, **kw), only)
+
+
+def failing_checks(capsys, tmp_path):
+    """The checks `sr validate` fails on the default config, from its exit
+    code and its one stderr line."""
+    code = main(["validate", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == (3 if err else 0), err
+    if not err:
+        return set()
+    count, names = err.rstrip("\n").split(" check(s) failed: ")
+    assert err.count("\n") == 1 and int(count) == len(names.split(", ")), err
+    return set(names.split(", "))
+
+
+CONSTANT_DEFECTS = {
+    # A constant x (1 + 1e-6) wherever the package reads it. c, eps0 and mu0
+    # also move mu0 eps0 c^2, which the intensity-field ratio equals.
+    "hbar": {"constants-product"},
+    "c": {"constants-product", "intensity-field-identity"},
+    "eps0": {"constants-product", "intensity-field-identity"},
+    "mu0": {"constants-product", "intensity-field-identity"},
+    "kB": {"constants-product"},
+}
+
+
 @pytest.mark.parametrize("name", ["hbar", "c", "eps0", "mu0", "kB"])
-def test_corrupting_any_constant_is_caught(cfg, name):
-    results = run_validation_checks(cfg, corrupt=name)
-    by_name = {r.name: r for r in results}
-    assert not by_name["constants-product"].passed
+def test_corrupting_any_constant_is_caught(monkeypatch, capsys, tmp_path, name):
+    # Set on a copy: the constructor refuses c, eps0 or mu0 moved alone.
+    edited = copy.copy(constants.CONSTANTS)
+    object.__setattr__(edited, name, getattr(edited, name) * (1.0 + 1e-6))
+    rebind(monkeypatch, "CONSTANTS", constants.CONSTANTS, edited)
+    assert failing_checks(capsys, tmp_path) == CONSTANT_DEFECTS[name]
 
 
-def test_unknown_corrupt_target_rejected(cfg):
-    with pytest.raises(ValueError):
-        run_validation_checks(cfg, corrupt="planck")
+def with_u(integrate):
+    def run(*args, **kwargs):
+        traj = integrate(*args, **kwargs)
+        return dataclasses.replace(traj, u=np.full_like(traj.u, 1e-9))
+    return run
+
+
+def third_order_pendulum(integrate):
+    def run(theta_r, tau_r, medium, t_end, dt):
+        t, theta = integrate(theta_r, tau_r, medium, t_end, dt)
+        return t, theta + 1e-3 * (dt / characteristic_duration(medium)) ** 3
+    return run
+
+
+def steeper_slope(calibrate):
+    def run(*args, **kwargs):
+        cal = calibrate(*args, **kwargs)
+        return dataclasses.replace(cal, k=1.001 * cal.k)
+    return run
+
+
+def later_peak(time_delay):
+    return lambda *args: time_delay(*args) + 1e-15
+
+
+DEFECTS = [
+    pytest.param(scaled(system.peak_field_from_intensity, 1.001), {"seed-field-roundtrip"}, id="seed-field"),
+    pytest.param(wrapped(bloch.integrate_bloch_rwa, with_u), {"bloch-conservation"}, id="u"),
+    # The angle the burst and the scan are built from, not the seed check's own.
+    pytest.param(
+        scaled(bloch.bloch_angle, 1.001, only=("n2sr.superradiance", "n2sr.pressure")),
+        {"bloch-closed-form"}, id="theta_r",
+    ),
+    pytest.param(
+        wrapped(superradiance.integrate_pendulum, third_order_pendulum),
+        {"pendulum-closed-form"}, id="pendulum-stepper",
+    ),
+    pytest.param(
+        scaled(superradiance.emitted_field_envelope, 1.01), {"intensity-field-identity"}, id="field",
+    ),
+    pytest.param(scaled(superradiance.emitted_intensity, 1.01), {"intensity-field-identity"}, id="intensity"),
+    pytest.param(
+        scaled(superradiance.peak_power_density, 1.01),
+        {"intensity-field-identity", "energy-bookkeeping"}, id="P0",
+    ),
+    pytest.param(scaled(superradiance.energy_density, 1.01), {"energy-bookkeeping"}, id="energy-density"),
+    pytest.param(scaled(profiles.extract_fwhm, 1.001), {"sech2-width-rule"}, id="fwhm"),
+    pytest.param(
+        wrapped(pressure.calibrate_density_scale, steeper_slope), {"calibration-roundtrip"}, id="slope-k",
+    ),
+    pytest.param(
+        scaled(superradiance.characteristic_duration, 1.0 + 1e-6),
+        {"energy-bookkeeping", "calibration-roundtrip"}, id="tau_W",
+    ),
+    pytest.param(
+        wrapped(superradiance.time_delay, later_peak, only=("n2sr.pressure",)),
+        {"scan-scaling"}, id="tau_D-scan",
+    ),
+    pytest.param(
+        wrapped(superradiance.time_delay, later_peak),
+        {"pendulum-closed-form", "scan-scaling"}, id="tau_D",
+    ),
+    pytest.param(
+        wrapped(pressure.dephasing_time, lambda f: lambda p, params: f(p, params) * np.power(p, -0.01)),
+        {"dephasing-window"}, id="tau_2-power",
+    ),
+    pytest.param(
+        wrapped(pressure.dephasing_time, lambda f: lambda p, params: f(p[::-1], params), only=("n2sr.pressure",)),
+        {"dephasing-window"}, id="tau_2-column-reversed",
+    ),
+    # Out of scope: a scale of tau_2 keeps every invariant a check can test on
+    # any config. The 207 ps at 20 mbar is pinned by test_acceptance.py.
+    pytest.param(scaled(pressure.dephasing_time, 1.01), set(), id="tau_2-scale"),
+]
+
+
+@pytest.mark.parametrize("inject, expected", DEFECTS)
+def test_defect_matrix(monkeypatch, capsys, tmp_path, inject, expected):
+    inject(monkeypatch)
+    assert failing_checks(capsys, tmp_path) == expected
+
+
+def test_every_check_is_the_only_failure_of_some_defect():
+    alone = [expected for expected in CONSTANT_DEFECTS.values() if len(expected) == 1]
+    alone += [row.values[1] for row in DEFECTS if len(row.values[1]) == 1]
+    assert set().union(*alone) == set(EXPECTED_CHECKS)
 
 
 def test_details_are_informative(cfg):
@@ -71,6 +207,31 @@ def test_seed_roundtrip_uses_configured_seed(cfg, monkeypatch, seed, first_call)
     assert result.passed
     assert calls[0][0] == first_call[0]
     assert calls[0][1] == pytest.approx(first_call[1], rel=1e-15)
+
+
+class TestIntensityField:
+    """intensity-field-identity: I_s = (eps0 c / 2) E_s^2, relative to I0."""
+
+    def test_default_reading_is_the_constants_defect(self, cfg):
+        """The two closed forms differ by the factor mu0 eps0 c^2 alone."""
+        result = by_name(run_validation_checks(cfg))["intensity-field-identity"]
+        k = constants.CONSTANTS
+        defect = float(result.detail.split("= ")[1])
+        assert result.passed
+        assert defect == pytest.approx(abs(k.mu0 * k.eps0 * k.c**2 - 1.0), abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"anchor_tau_w_ps": 1e160},  # I0 = 1.8e-308
+            {"anchor_tau_w_ps": 1e-147, "length_mm": 1e100},  # I0 = 1.8e306; E_s^2 overflows
+        ],
+        ids=["tiny-I0", "huge-I0"],
+    )
+    def test_holds_at_the_ends_of_the_float_range(self, cfg, overrides):
+        sol = config.reference_solution(dataclasses.replace(cfg, **overrides))
+        result = validation._check_intensity_field(sol)
+        assert result.passed, result.detail
 
 
 def check_dephasing(cfg, scan=None):
@@ -269,9 +430,7 @@ class TestSeedOrder:
             calls.append(args)
             return original(*args, **kwargs)
 
-        for module in list(sys.modules.values()):
-            if module.__name__.startswith("n2sr") and getattr(module, "bloch_angle", None) is original:
-                monkeypatch.setattr(module, "bloch_angle", spy)
+        rebind(monkeypatch, "bloch_angle", original, spy)
         assert main(["validate", "--out", str(tmp_path)]) == 0
         assert len(calls) == 5
 
