@@ -1,5 +1,6 @@
 """End-to-end command tests driving main() in-process."""
 
+import copy
 import math
 import os
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import n2sr
-from n2sr import cli, config
+from n2sr import cli, config, constants
 from n2sr.cli import _parse_pressures, main
 from n2sr.constants import ps_to_s
 from n2sr.profiles import synthesize_sech2_trace, write_trace_csv
@@ -357,6 +358,20 @@ class TestValidate:
         report = (tmp_path / "validate_report.txt").read_text().splitlines()
         assert len(report) == 11
         assert all(line.startswith("PASS") for line in report)
+
+    def test_corrupted_constant_fails_named_check(self, tmp_path, capsys, monkeypatch):
+        """mu0 x (1 + 1e-6) in every module that binds CONSTANTS: validate exits 3,
+        reports the failing checks on stdout and names them on stderr."""
+        original = constants.CONSTANTS
+        edited = copy.copy(original)
+        object.__setattr__(edited, "mu0", edited.mu0 * (1.0 + 1e-6))
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("n2sr") and getattr(module, "CONSTANTS", None) is original:
+                monkeypatch.setattr(module, "CONSTANTS", edited)
+        assert main(["validate", "--out", str(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        assert "FAIL  constants-product" in captured.out
+        assert "constants-product" in captured.err
 
     def test_field_amplitude_seed_passes(self, tmp_path, capsys):
         args = ["--set", "seed_intensity_mw_cm2=none", "--set", "seed_e0_v_m=5e6"]
