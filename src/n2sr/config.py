@@ -2,7 +2,8 @@
 
 Keys are globally unique, so sections in the file are cosmetic; a bare
 key=value file works too. All values are validated by constructing the
-underlying domain objects at parse time.
+underlying domain objects at parse time. The builders below are the one
+place where the lab-unit keys become SI objects.
 """
 
 from __future__ import annotations
@@ -13,14 +14,17 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .constants import (
     cm2_to_m2,
     cm_per_s_to_m_per_s,
+    dipole_debye_to_si,
+    mm_to_m,
     mw_per_cm2_to_w_per_m2,
     ps_to_s,
     um_to_m,
+    wavelength_to_angular_frequency,
 )
 from .pressure import (
     DensityCalibration,
@@ -31,7 +35,7 @@ from .pressure import (
     pressure_scan,
 )
 from .superradiance import SuperradianceSolution, solve_from_seed
-from .system import SeedPulse, TwoLevelMedium
+from .system import SeedPulse, TwoLevelMedium, peak_field_from_intensity
 
 
 # Largest RK4 step count a config may ask of the seed kernel. It holds about
@@ -57,9 +61,8 @@ class RunConfig:
     w0: float = 0.1
     length_mm: float = 10.0
     radius_um: float = 50.0
-    # seed (exactly one of seed_intensity_mw_cm2 / seed_e0_v_m may be given)
-    seed_intensity_mw_cm2: Optional[float] = 10.0
-    seed_e0_v_m: Optional[float] = None
+    # seed, given by its peak intensity
+    seed_intensity_mw_cm2: float = 10.0
     tau_s_ps: float = 0.26
     tau_r_over_tau_s: float = 3.6
     # density calibration
@@ -83,12 +86,9 @@ class RunConfig:
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 _INT_FIELDS = {"profile_points", "regime_points"}
-_OPTIONAL_FIELDS = {"seed_intensity_mw_cm2", "seed_e0_v_m"}
 
 
 def _coerce(key: str, raw: str):
-    if key in _OPTIONAL_FIELDS and raw.lower() == "none":
-        return None
     try:
         if key in _INT_FIELDS:
             return int(raw)
@@ -137,14 +137,7 @@ def load_config(path=None, overrides: Sequence[str] = ()) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config key '{unknown[0]}'")
 
-    values = {key: _coerce(key, raw_value) for key, raw_value in raw.items()}
-    if values.get("seed_e0_v_m") is not None:
-        if values.get("seed_intensity_mw_cm2") is not None:
-            raise ConfigError("give either seed_intensity_mw_cm2 or seed_e0_v_m, not both")
-        # The field amplitude replaces the default intensity specification.
-        values["seed_intensity_mw_cm2"] = None
-
-    cfg = RunConfig(**values)
+    cfg = RunConfig(**{key: _coerce(key, raw_value) for key, raw_value in raw.items()})
     validate_config(cfg)
     return cfg
 
@@ -155,8 +148,6 @@ def validate_config(cfg: RunConfig) -> None:
     A value the constructors reject, or whose arithmetic overflows or
     divides by an underflowed zero on the way, is a ConfigError.
     """
-    if (cfg.seed_intensity_mw_cm2 is None) == (cfg.seed_e0_v_m is None):
-        raise ConfigError("exactly one of seed_intensity_mw_cm2 / seed_e0_v_m is required")
     try:
         medium_template(cfg)
         seed = seed_pulse(cfg)
@@ -211,22 +202,21 @@ def validate_config(cfg: RunConfig) -> None:
 
 def medium_template(cfg: RunConfig) -> TwoLevelMedium:
     """Medium with everything but the density; scans fill N in per pressure."""
-    return TwoLevelMedium.from_lab_units(
-        wavelength_nm=cfg.lambda_nm,
-        dipole_debye=cfg.dipole_debye,
-        density_per_cm3=0.0,
-        length_mm=cfg.length_mm,
+    return TwoLevelMedium(
+        omega=wavelength_to_angular_frequency(cfg.lambda_nm * 1e-9),
+        mu=dipole_debye_to_si(cfg.dipole_debye),
+        N=0.0,
+        L=mm_to_m(cfg.length_mm),
         w0=cfg.w0,
     )
 
 
 def seed_pulse(cfg: RunConfig) -> SeedPulse:
     tau_s = ps_to_s(cfg.tau_s_ps)
-    tau_r = cfg.tau_r_over_tau_s * tau_s
-    if cfg.seed_e0_v_m is not None:
-        return SeedPulse(E0=cfg.seed_e0_v_m, tau_s=tau_s, tau_r=tau_r)
-    return SeedPulse.from_intensity(
-        mw_per_cm2_to_w_per_m2(cfg.seed_intensity_mw_cm2), tau_s=tau_s, tau_r=tau_r
+    return SeedPulse(
+        E0=peak_field_from_intensity(mw_per_cm2_to_w_per_m2(cfg.seed_intensity_mw_cm2)),
+        tau_s=tau_s,
+        tau_r=cfg.tau_r_over_tau_s * tau_s,
     )
 
 

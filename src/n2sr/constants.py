@@ -30,7 +30,6 @@ __all__ = [
     "cm_per_s_to_m_per_s",
     "mw_per_cm2_to_w_per_m2",
     "w_per_m2_to_w_per_cm2",
-    "per_cm3_to_per_m3",
     "per_m3_to_per_cm3",
 ]
 
@@ -124,10 +123,6 @@ def mw_per_cm2_to_w_per_m2(i_mw_cm2: float) -> float:
 
 def w_per_m2_to_w_per_cm2(i_w_m2: float) -> float:
     return i_w_m2 * 1e-4
-
-
-def per_cm3_to_per_m3(n_cm3: float) -> float:
-    return n_cm3 * 1e6
 
 
 def per_m3_to_per_cm3(n_m3: float) -> float:

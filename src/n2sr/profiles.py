@@ -84,6 +84,8 @@ class TemporalTrace:
             raise ValueError("intensities must be non-negative")
         if not self.intensity.max() > 0.0:
             raise ValueError("trace must contain signal")
+        if self.pressure is not None and not 0.0 <= self.pressure < math.inf:
+            raise ValueError(f"trace pressure must be finite and non-negative, got {self.pressure!r} mbar")
         self.t.setflags(write=False)
         self.intensity.setflags(write=False)
 

@@ -7,13 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import (
-    CONSTANTS,
-    dipole_debye_to_si,
-    mm_to_m,
-    per_cm3_to_per_m3,
-    wavelength_to_angular_frequency,
-)
+from .constants import CONSTANTS
 
 # Field envelope exp(-2 ln2 ((t - tau_s)/tau_s)^2): the squared (intensity)
 # envelope then has FWHM equal to tau_s.
@@ -51,23 +45,6 @@ class TwoLevelMedium:
         if not -1.0 <= self.w0 <= 1.0:
             raise ValueError("w0 must lie in [-1, 1]")
 
-    @classmethod
-    def from_lab_units(
-        cls,
-        wavelength_nm: float,
-        dipole_debye: float,
-        density_per_cm3: float,
-        length_mm: float,
-        w0: float,
-    ) -> "TwoLevelMedium":
-        return cls(
-            omega=wavelength_to_angular_frequency(wavelength_nm * 1e-9),
-            mu=dipole_debye_to_si(dipole_debye),
-            N=per_cm3_to_per_m3(density_per_cm3),
-            L=mm_to_m(length_mm),
-            w0=w0,
-        )
-
 
 @dataclass(frozen=True)
 class SeedPulse:
@@ -90,10 +67,6 @@ class SeedPulse:
             raise ValueError("tau_s must be positive")
         if not self.tau_r > 0.0:
             raise ValueError("tau_r must be positive")
-
-    @classmethod
-    def from_intensity(cls, intensity_w_m2: float, tau_s: float, tau_r: float) -> "SeedPulse":
-        return cls(E0=peak_field_from_intensity(intensity_w_m2), tau_s=tau_s, tau_r=tau_r)
 
     def field_envelope(self, t):
         """Dimensionless field envelope f(t), equal to 1 at the peak t = tau_s.

@@ -17,6 +17,7 @@ import numpy as np
 from . import config as cfgmod
 from .bloch import bloch_angle, integrate_bloch_rwa, rabi_frequency_peak
 from .constants import CONSTANTS, mw_per_cm2_to_w_per_m2, s_to_ps
+from .errors import NumericalError
 from .pressure import dephasing_time, superradiance_valid
 from .profiles import SECH2_FWHM_EXACT, TemporalTrace, extract_fwhm
 from .superradiance import (
@@ -77,13 +78,9 @@ def _check_constants_product() -> CheckResult:
 
 
 def _check_seed_roundtrip(cfg) -> CheckResult:
-    """Round-trip the seed as configured: field -> intensity -> field, or the reverse."""
-    if cfg.seed_e0_v_m is not None:
-        given = cfg.seed_e0_v_m
-        back = peak_field_from_intensity(intensity_from_peak_field(given))
-    else:
-        given = mw_per_cm2_to_w_per_m2(cfg.seed_intensity_mw_cm2)
-        back = intensity_from_peak_field(peak_field_from_intensity(given))
+    """Round-trip the configured seed intensity: intensity -> field -> intensity."""
+    given = mw_per_cm2_to_w_per_m2(cfg.seed_intensity_mw_cm2)
+    back = intensity_from_peak_field(peak_field_from_intensity(given))
     rel = abs(back - given) / given if given else abs(back)
     return CheckResult("seed-field-roundtrip", rel <= 1e-12, f"relative defect {rel:.3e}")
 
@@ -179,6 +176,8 @@ def _check_pendulum(cfg, sol: SuperradianceSolution) -> CheckResult:
     (Richardson's estimate). Its error is about 16 times e_h, so only the
     h run is bounded: the check passes when the worst h-run error is at
     most 1e-7 rad and every resolved order is within ORDER_TOLERANCE of 4.
+    A span past tau_r that rounds away at tau_r leaves nothing to compare
+    and raises NumericalError, naming the check.
     """
     medium, tau_r = sol.medium, sol.tau_r
     worst = 0.0
@@ -192,7 +191,13 @@ def _check_pendulum(cfg, sol: SuperradianceSolution) -> CheckResult:
     for m, theta_r in cases:
         case = solve_after_seed(m, theta_r, tau_r)
         dt = PENDULUM_STEP_TAU_W * case.tau_W
-        t_end = tau_r + PENDULUM_SPAN_TAU_W * case.tau_W
+        span = PENDULUM_SPAN_TAU_W * case.tau_W
+        t_end = tau_r + span
+        if not t_end > tau_r:
+            raise NumericalError(
+                f"pendulum-closed-form: its span of {PENDULUM_SPAN_TAU_W:g} tau_W = {span:.3e} s "
+                f"is lost in rounding at tau_r = {tau_r:.3e} s"
+            )
         errors, counts = [], []
         for h in (2.0 * dt, dt):
             t, theta = integrate_pendulum(theta_r, tau_r, m, t_end, h)

@@ -68,7 +68,6 @@ VALUES.update(
     dt_over_tau_s=bounded(5e-4, 10.0),
     profile_points=points(),
     regime_points=points(),
-    seed_e0_v_m=scaled(8.68e6),
 )
 assert set(VALUES) == {f.name for f in dataclasses.fields(RunConfig)}
 
@@ -95,7 +94,7 @@ def run(command: str, overrides: dict) -> tuple[int, str, list[str]]:
 @example({"lambda_nm": 1e300})
 @example({"radius_um": 1e200})
 @example({"sigma_cm2": 1e-300, "ionization_fraction": 1e-300})
-@example({"seed_e0_v_m": 1e300})
+@example({"seed_intensity_mw_cm2": 1e290})
 @example({"seed_intensity_mw_cm2": 0.0, "tau_s_ps": 1.7976931348623157e308})
 @example({"w0": 1.4998098156348833e-139})
 @example({"w0": 1.7471761246767465e-162})

@@ -419,6 +419,12 @@ class TestTraceCsv:
             ("time_ps,intensity_arb\n\n# no rows\n", ": no data rows"),
             ("time_ps,intensity_arb\n0.0,1.0\n1.0,2.0\n", ": a trace needs at least 8 samples"),
             ("time_ps,intensity_arb\n" + ROWS + "1.0,nan\n", ": trace samples must be finite"),
+            ("# pressure_mbar=nan\ntime_ps,intensity_arb\n" + ROWS,
+             ": trace pressure must be finite and non-negative, got nan mbar"),
+            ("# pressure_mbar=inf\ntime_ps,intensity_arb\n" + ROWS,
+             ": trace pressure must be finite and non-negative, got inf mbar"),
+            ("# pressure_mbar=-5\ntime_ps,intensity_arb\n" + ROWS,
+             ": trace pressure must be finite and non-negative, got -5.0 mbar"),
         ],
     )
     def test_error_names_file_and_line(self, tmp_path, text, message):

@@ -15,6 +15,7 @@ from n2sr.system import (
 
 class TestTwoLevelMedium:
     def test_from_lab_units(self, template):
+        """config.medium_template turns the default lab-unit keys into SI."""
         assert template.omega == pytest.approx(4.8176e15, rel=1e-4)
         assert template.mu == pytest.approx(5.670588e-30, rel=1e-6)
         assert template.L == pytest.approx(0.01, rel=1e-15)
@@ -53,7 +54,7 @@ class TestTwoLevelMedium:
 
 class TestSeedPulse:
     def test_from_intensity_field(self, seed):
-        # 10 MW/cm^2 peak intensity
+        """config.seed_pulse takes the field from the 10 MW/cm^2 peak intensity."""
         assert seed.E0 == pytest.approx(8680210.98438131, rel=1e-12)
         assert seed.tau_s == 0.26e-12
         assert seed.tau_r == pytest.approx(3.6 * 0.26e-12, rel=1e-15)

@@ -185,15 +185,8 @@ def test_details_are_informative(cfg):
         assert r.detail  # every check reports a number or a statement
 
 
-@pytest.mark.parametrize(
-    "seed, first_call",
-    [
-        ({"seed_intensity_mw_cm2": None, "seed_e0_v_m": 5e6}, ("intensity_from_peak_field", 5e6)),
-        ({"seed_intensity_mw_cm2": 40.0}, ("peak_field_from_intensity", 4e11)),
-    ],
-)
-def test_seed_roundtrip_uses_configured_seed(cfg, monkeypatch, seed, first_call):
-    """The round trip starts from the seed as given, field or intensity."""
+def test_seed_roundtrip_starts_from_the_configured_intensity(cfg, monkeypatch):
+    """The round trip starts from the seed intensity as given, in W/m^2."""
     calls = []
     for name in ("intensity_from_peak_field", "peak_field_from_intensity"):
         original = getattr(validation, name)
@@ -203,10 +196,10 @@ def test_seed_roundtrip_uses_configured_seed(cfg, monkeypatch, seed, first_call)
             return original(x)
 
         monkeypatch.setattr(validation, name, spy)
-    result = validation._check_seed_roundtrip(dataclasses.replace(cfg, **seed))
+    result = validation._check_seed_roundtrip(dataclasses.replace(cfg, seed_intensity_mw_cm2=40.0))
     assert result.passed
-    assert calls[0][0] == first_call[0]
-    assert calls[0][1] == pytest.approx(first_call[1], rel=1e-15)
+    assert [name for name, _ in calls] == ["peak_field_from_intensity", "intensity_from_peak_field"]
+    assert calls[0][1] == pytest.approx(4e11, rel=1e-15)
 
 
 class TestIntensityField:
