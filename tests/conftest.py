@@ -25,7 +25,7 @@ def seed(cfg):
 
 @pytest.fixture(scope="session")
 def dt(cfg):
-    """The configured seed-stage RK4 step, in seconds."""
+    """The configured seed-stage step, in seconds."""
     return dt_seconds(cfg)
 
 

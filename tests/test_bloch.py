@@ -1,4 +1,4 @@
-"""Seed-stage dynamics: closed-form pulse area, RK4 integration."""
+"""Seed-stage dynamics: closed-form pulse area and trajectory, RK4 integration."""
 
 import math
 
@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from n2sr.bloch import (
+    PHASE_TOLERANCE,
     BlochTrajectory,
     bloch_angle,
     integrate_bloch_rwa,
     rabi_frequency_peak,
+    seed_trajectory,
 )
 from n2sr.constants import CONSTANTS
 from n2sr.errors import NumericalError
@@ -195,6 +197,28 @@ class TestIntegration:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match=r"non-finite at t = \d"):
                 integrate_bloch_rwa(pulse, template, 4.0 * pulse.tau_s, dt=pulse.tau_s / 10)
+
+
+class TestSeedTrajectory:
+    @pytest.mark.parametrize("dt_over_tau_s", [5e-4, 0.32, 1.2, 3.5675])
+    def test_rk4_grid_and_closed_form(self, seed, template, dt_over_tau_s):
+        dt = dt_over_tau_s * seed.tau_s
+        traj = seed_trajectory(seed, template, dt)
+        assert traj.t.tolist() == integrate_bloch_rwa(seed, template, seed.tau_r, dt).t.tolist()
+        assert traj.theta.tolist() == bloch_angle(seed, template, traj.t).tolist()
+        assert traj.theta[-1] == THETA_R
+        assert traj.u.tolist() == [0.0] * len(traj)
+        assert traj.v.tolist() == (template.w0 * np.sin(traj.theta)).tolist()
+        assert traj.w.tolist() == (template.w0 * np.cos(traj.theta)).tolist()
+
+    def test_angle_that_lost_its_phase_raises(self, seed, template, dt):
+        """theta(tau_r) may reach PHASE_TOLERANCE / eps, about 4.5e7 rad, and no further."""
+        limit = PHASE_TOLERANCE / np.finfo(float).eps
+        at = SeedPulse(E0=seed.E0 * limit / THETA_R * (1.0 - 1e-9), tau_s=seed.tau_s, tau_r=seed.tau_r)
+        assert seed_trajectory(at, template, dt).theta[-1] <= limit
+        past = SeedPulse(E0=seed.E0 * limit / THETA_R * (1.0 + 1e-9), tau_s=seed.tau_s, tau_r=seed.tau_r)
+        with pytest.raises(NumericalError, match=r"theta\(tau_r\) = 4\.50\d*e\+07 rad has lost its phase"):
+            seed_trajectory(past, template, dt)
 
 
 def test_analytic_solution_at_zero(seed, template):

@@ -13,8 +13,9 @@ import pytest
 
 import n2sr
 from n2sr import cli, config, constants
+from n2sr.bloch import bloch_angle, integrate_bloch_rwa
 from n2sr.cli import _parse_pressures, main
-from n2sr.constants import ps_to_s
+from n2sr.constants import ps_to_s, s_to_ps
 from n2sr.profiles import synthesize_sech2_trace, write_trace_csv
 
 
@@ -44,6 +45,25 @@ class TestSeedPhase:
             next(l for l in summary.splitlines() if l.startswith("theta_tau_r_over_pi")).split("=")[1]
         )
         assert 0.054 <= theta_over_pi <= 0.060
+
+    def test_output_is_the_closed_form(self, tmp_path, cfg, seed, template):
+        """theta(tau_r) is bloch_angle's, every row is w0 (0, sin theta, cos theta), and
+        the grid has the nodes the RK4 would step on."""
+        assert main(["seed-phase", "--out", str(tmp_path)]) == 0
+        summary = dict(
+            line.split(" = ") for line in (tmp_path / "seed_summary.txt").read_text().splitlines()[1:]
+        )
+        theta_r = bloch_angle(seed, template, seed.tau_r)
+        assert float(summary["theta_tau_r_rad"]) == theta_r
+        assert float(summary["theta_quadrature_rad"]) == theta_r
+        cols = read_csv(tmp_path / "bloch_trajectory.csv")
+        theta = np.array(floats(cols, "theta_rad"))
+        assert theta[-1] == theta_r
+        assert floats(cols, "u") == [0.0] * len(theta)
+        assert floats(cols, "v") == (template.w0 * np.sin(theta)).tolist()
+        assert floats(cols, "w") == (template.w0 * np.cos(theta)).tolist()
+        rk4 = integrate_bloch_rwa(seed, template, seed.tau_r, config.dt_seconds(cfg))
+        assert floats(cols, "t_ps") == s_to_ps(rk4.t).tolist()
 
     def test_zero_field_gives_zero_angle(self, tmp_path):
         assert (
@@ -82,7 +102,8 @@ class TestSeedPhase:
         assert "numerical failure" in capsys.readouterr().err
 
     @pytest.mark.parametrize("overrides, line", [
-        (["seed_intensity_mw_cm2=1e290"], "Bloch state became non-finite at t = 1.300000e-16 s"),
+        (["seed_intensity_mw_cm2=1e290"], "seed angle theta(tau_r) = 5.499981e+143 rad has lost its phase: "
+         "its rounding, eps theta = 1.2e+128 rad, exceeds 1e-08 rad"),
         (["seed_intensity_mw_cm2=0", "tau_s_ps=1.7976931348623157e308"],
          "trajectory column 't_ps' is inf at t = 1.7985919814297464e+296 s"),
     ], ids=["huge-field", "huge-seed-width"])

@@ -7,7 +7,6 @@ import pytest
 
 from n2sr.config import (
     MAX_GRID_POINTS,
-    MAX_RK4_STEPS,
     ConfigError,
     RunConfig,
     _read_file,
@@ -173,17 +172,17 @@ def test_subnormal_seed_step_rejected():
 
 
 class TestStepCap:
-    """RK4 step counts are bounded at parse time, before any kernel allocates."""
+    """The seed grid is bounded at parse time, like the other grids, before anything allocates."""
 
     @pytest.mark.parametrize("key, span", [("dt_over_tau_s", RunConfig().tau_r_over_tau_s)])
     def test_cap_names_the_key(self, key, span):
-        load_config(overrides=[f"{key}={2.0 * span / MAX_RK4_STEPS!r}"])
-        with pytest.raises(ConfigError, match=key):
-            load_config(overrides=[f"{key}={0.5 * span / MAX_RK4_STEPS!r}"])
+        load_config(overrides=[f"{key}={2.0 * span / MAX_GRID_POINTS!r}"])
+        with pytest.raises(ConfigError, match=f"'{key}' asks for .* grid points; the limit is {MAX_GRID_POINTS}"):
+            load_config(overrides=[f"{key}={0.5 * span / MAX_GRID_POINTS!r}"])
 
     def test_seed_cap_follows_tau_r(self):
         cfg = load_config(overrides=["dt_over_tau_s=1e-5"])
-        assert cfg.tau_r_over_tau_s / cfg.dt_over_tau_s <= MAX_RK4_STEPS
+        assert cfg.tau_r_over_tau_s / cfg.dt_over_tau_s + 1 <= MAX_GRID_POINTS
         with pytest.raises(ConfigError, match="dt_over_tau_s"):
             load_config(overrides=["dt_over_tau_s=1e-5", "tau_r_over_tau_s=20"])
 
@@ -195,7 +194,7 @@ class TestStepCap:
             load_config(overrides=[f"dt_over_tau_s={step}"])
 
     def test_absurd_step_is_rejected(self):
-        # Uncapped, this would ask the seed kernel for about 7e12 nodes.
+        # Uncapped, this would ask for a seed grid of about 4e12 nodes.
         with pytest.raises(ConfigError, match="dt_over_tau_s"):
             load_config(overrides=["dt_over_tau_s=1e-12"])
 

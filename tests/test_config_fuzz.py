@@ -7,11 +7,11 @@ pressure-scan and validate in-process. Each must return 0, 1, 2 or 3 with
 no exception escaping and no warning, and a non-zero exit must leave exactly
 one stderr line.
 
-Step-count keys are drawn so that the seed RK4 runs at most about 1e5
-steps when the config is accepted: tau_r_over_tau_s <= 50 with
+Step-count keys are drawn so that the seed grid has at most about 1e5
+points when the config is accepted: tau_r_over_tau_s <= 50 with
 dt_over_tau_s >= 5e-4. Smaller step sizes are drawn only as extremes,
-which the 1e6-step cap rejects at parse time. The pendulum oracle's step
-is fixed by the check, not by the config.
+which the 1e6-point grid cap rejects at parse time. The steps of the two
+RK4 oracles are fixed by their checks, not by the config.
 Grid keys stay at or below 5000 points, or just past the grid cap.
 
 The trace fuzz writes one trace with pressure metadata per example and runs

@@ -60,13 +60,3 @@ def test_golden_outputs_lists_every_output(tmp_path, capsys):
     differ = sorted(n for n in fresh.keys() | committed.keys() if fresh.get(n) != committed.get(n))
     assert not differ, f"outputs that differ from tests/golden.txt: {', '.join(differ)}"
 
-
-def test_seed_step_sweep_smoke(capsys):
-    """One seed step at three seed strengths: three verdict lines and the count."""
-    lines = runpy.run_path(str(SCRIPTS / "seed_step_sweep.py"))["main"](["--points", "1"])
-    assert capsys.readouterr().out == "\n".join(lines) + "\n"
-    assert [line.split("  ")[:3] for line in lines[:3]] == [
-        ["0.05", "1", "PASS"], ["0.05", "10", "PASS"], ["0.05", "100", "PASS"],
-    ]
-    assert all("max |rk - closed form| = " in line for line in lines[:3])
-    assert lines[3] == "bloch-closed-form passed on 3/3 configs"

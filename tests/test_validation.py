@@ -382,40 +382,66 @@ class TestSeedOrder:
         _, orders = error_and_orders(result.detail)
         assert abs(float(orders[0]) - 4.0) <= 0.05
 
-    def test_every_node_of_the_configured_run_is_checked(self, cfg, monkeypatch):
-        """A 1e-6 defect at node 7 alone, far from any of nine evenly spaced nodes, fails."""
+    def test_every_node_of_an_oracle_run_is_checked(self, cfg, monkeypatch):
+        """A 1e-6 defect at node 7 alone of either run, far from any of nine evenly
+        spaced nodes, fails: on the fine run it is the reported error, on the coarse
+        run it breaks the order."""
         integrate = validation.integrate_bloch_rwa
-        runs = []
+        for perturbed_run in (0, 1):
+            runs = []
 
-        def perturbed(seed, medium, t_end, dt):
-            traj = integrate(seed, medium, t_end=t_end, dt=dt)
-            runs.append(dt)
-            if len(runs) > 1:  # the order runs stay exact
-                return traj
-            v = traj.v.copy()
-            v[7] += 1e-6
-            return dataclasses.replace(traj, v=v)
+            def perturbed(seed, medium, t_end, dt):
+                traj = integrate(seed, medium, t_end=t_end, dt=dt)
+                runs.append(traj)
+                if len(runs) - 1 != perturbed_run:
+                    return traj
+                v = traj.v.copy()
+                v[7] += 1e-6
+                return dataclasses.replace(traj, v=v)
 
-        monkeypatch.setattr(validation, "integrate_bloch_rwa", perturbed)
-        _, closed_form = check_bloch(cfg)
-        error, orders = error_and_orders(closed_form.detail)
-        assert runs[0] == config.dt_seconds(cfg)
-        assert not closed_form.passed
-        assert error == pytest.approx(1e-6, rel=1e-6)
-        assert abs(float(orders[0]) - 4.0) <= 0.05
+            monkeypatch.setattr(validation, "integrate_bloch_rwa", perturbed)
+            _, closed_form = check_bloch(cfg)
+            error, orders = error_and_orders(closed_form.detail)
+            assert len(runs) == 2
+            assert not closed_form.passed, closed_form.detail
+            if perturbed_run:
+                # The fine run's own error at node 7 is about -1e-10.
+                fine = runs[1]
+                theta = bloch.bloch_angle(config.seed_pulse(cfg), config.medium_template(cfg), fine.t)
+                v = fine.v.copy()
+                v[7] += 1e-6
+                expected = np.max(np.hypot(v - np.sin(theta), fine.w - np.cos(theta)))
+                assert f"{error:.3e}" == f"{expected:.3e}"
+                assert error == pytest.approx(1e-6, rel=1e-3)
+            else:
+                assert error < 1e-9 and float(orders[0]) > 10.0
 
-    def test_reference_sees_the_seed_quadrature_error(self, cfg):
-        """At dt_over_tau_s = 0.32 and 1 MW/cm^2 the seed run is 7.35e-8 from the erf
-        closed form; a Simpson reference on the kernel's own nodes would read about 2e-9."""
-        coarse = dataclasses.replace(cfg, dt_over_tau_s=0.32, seed_intensity_mw_cm2=1.0)
-        _, closed_form = check_bloch(coarse)
-        error, _ = error_and_orders(closed_form.detail)
-        assert not closed_form.passed
-        assert 3e-8 < error < 2e-7
+    @pytest.mark.parametrize("overrides", [
+        ["dt_over_tau_s=0.32", "seed_intensity_mw_cm2=1"],  # 7.35e-8 from the closed form as an RK4 step
+        ["dt_over_tau_s=3.5675"],  # failed both Bloch checks as an RK4 step
+    ], ids=["coarse-weak-seed", "near-tau_r"])
+    def test_configured_step_cannot_fail_validate(self, tmp_path, capsys, overrides):
+        """The configured step only samples the written closed form; the RK4 runs at its own steps."""
+        args = [a for o in overrides for a in ("--set", o)]
+        assert main(["validate", *args, "--out", str(tmp_path)]) == 0, capsys.readouterr().err
 
-    def test_validate_calls_bloch_angle_five_times(self, tmp_path, monkeypatch):
+    def test_validate_runs_the_rk4_at_n_and_2n_steps_only(self, cfg, tmp_path, monkeypatch):
+        original = bloch.integrate_bloch_rwa
+        counts = []
+
+        def spy(*args, **kwargs):
+            traj = original(*args, **kwargs)
+            counts.append(len(traj) - 1)
+            return traj
+
+        rebind(monkeypatch, "integrate_bloch_rwa", original, spy)
+        assert main(["validate", "--out", str(tmp_path)]) == 0
+        n = validation._seed_order_steps(config.seed_pulse(cfg), config.medium_template(cfg))
+        assert counts == [n, 2 * n] == [58, 116]
+
+    def test_validate_calls_bloch_angle_four_times(self, tmp_path, monkeypatch):
         """Once each for the reference burst and the scan, and once on the whole
-        grid of each of the seed check's three runs."""
+        grid of each of the seed check's two runs."""
         original = bloch.bloch_angle
         calls = []
 
@@ -425,10 +451,10 @@ class TestSeedOrder:
 
         rebind(monkeypatch, "bloch_angle", original, spy)
         assert main(["validate", "--out", str(tmp_path)]) == 0
-        assert len(calls) == 5
+        assert len(calls) == 4
 
     def test_third_order_kernel_fails(self, cfg, monkeypatch):
-        """An h^3 defect far below 1e-8 at the configured step fails on its order."""
+        """An h^3 defect in the kernel fails on its order; the handover stays exact."""
         integrate = validation.integrate_bloch_rwa
 
         def third_order(seed, medium, t_end, dt):
@@ -437,8 +463,8 @@ class TestSeedOrder:
 
         monkeypatch.setattr(validation, "integrate_bloch_rwa", third_order)
         _, closed_form = check_bloch(cfg)
-        error, orders = error_and_orders(closed_form.detail)
-        assert error <= 1e-8
+        _, orders = error_and_orders(closed_form.detail)
+        assert "handover error at tau_r = 0.000e+00," in closed_form.detail
         assert not closed_form.passed
         assert abs(float(orders[0]) - 3.0) <= 0.1
 
