@@ -149,7 +149,7 @@ def cmd_regimes(cfg: RunConfig, outdir: Path) -> int:
     grid = _sorted_unique(np.concatenate([grid, np.asarray(peaks)]))
 
     # Every column is checked before the first file is written, so a command
-    # that fails leaves no output behind. tau_W depends only on |w0|, so the
+    # that fails leaves no output behind. tau_W depends only on |n|, so the
     # four panels share one time grid and its two columns.
     header = "t_ps,t_rel_tau_W,theta_rad,w,P_over_P0"
     t = tau_r + grid * weak.tau_W

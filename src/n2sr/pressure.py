@@ -146,9 +146,9 @@ def calibrate_density_scale(
 ) -> DensityCalibration:
     """Invert tau_W(N) at the anchor pressure to fix the slope k.
 
-    N_anchor = 4 hbar / (mu0 c omega mu^2 |w0| L tau_W_anchor), then
-    k = N_anchor / (anchor_p - p0). Only omega, mu, w0 and L of the template
-    matter; its density is ignored.
+    The anchor's column density n L = 4 hbar / (mu0 c omega mu^2 tau_W_anchor)
+    gives n_anchor, and k = n_anchor / |w0| / (anchor_p - p0) is the slope of
+    N. Only omega, mu, w0 and L of the template matter; its density is ignored.
     """
     if not anchor_tau_w > 0.0:
         raise ValueError("anchor tau_W must be positive")
@@ -158,22 +158,25 @@ def calibrate_density_scale(
         raise ValueError("w0 = 0 cannot be calibrated")
     k = CONSTANTS
     m = medium_template
-    n_anchor = 4.0 * k.hbar / (
-        k.mu0 * k.c * m.omega * m.mu**2 * abs(m.w0) * m.L * anchor_tau_w
-    )
+    n_anchor = 4.0 * k.hbar / (k.mu0 * k.c * m.omega * m.mu**2 * anchor_tau_w) / m.L
     return DensityCalibration(
-        k=n_anchor / (anchor_p - p0), p0=p0, anchor_p=anchor_p, anchor_tau_w=anchor_tau_w
+        k=n_anchor / abs(m.w0) / (anchor_p - p0), p0=p0, anchor_p=anchor_p, anchor_tau_w=anchor_tau_w
     )
 
 
 def density_from_pressure(cal: DensityCalibration, p_mbar):
-    """Emitter density N = k (p - p0) in m^-3, elementwise for an array p;
-    a pressure below threshold is an error."""
+    """Emitter density N = k (p - p0) in m^-3, elementwise for an array p; a pressure
+    below threshold is an error, and an N that overflows a NumericalError naming it."""
     if np.less(p_mbar, cal.p0).any():
         raise BelowThresholdError(
             f"pressure {np.min(p_mbar)} mbar is below the superradiance threshold {cal.p0} mbar"
         )
-    return cal.k * (p_mbar - cal.p0)
+    with np.errstate(over="ignore"):
+        density = cal.k * (p_mbar - cal.p0)
+    if not np.isfinite(density).all():
+        p = float(np.ravel(p_mbar)[np.argmin(np.isfinite(density))])
+        raise NumericalError(f"the emitter density N = k (p - p0) is not finite at p = {p!r} mbar")
+    return density
 
 
 def medium_at_pressure(cal: DensityCalibration, medium_template: TwoLevelMedium, p_mbar) -> TwoLevelMedium:
@@ -182,7 +185,7 @@ def medium_at_pressure(cal: DensityCalibration, medium_template: TwoLevelMedium,
 
 
 def total_emitted_energy(medium: TwoLevelMedium, theta_r: float, radius: float):
-    """Released energy hbar omega N w0 cos(theta_r) * pi r^2 L, linear in N.
+    """Released energy hbar omega n cos(theta_r) * pi r^2 L, linear in n = w0 N.
 
     This is the stored-energy bookkeeping estimate; see
     emitted_energy_integral for the value obtained by integrating the burst
@@ -192,18 +195,18 @@ def total_emitted_energy(medium: TwoLevelMedium, theta_r: float, radius: float):
     scan.
     """
     volume = math.pi * radius**2 * medium.L
-    return CONSTANTS.hbar * medium.omega * medium.N * medium.w0 * math.cos(theta_r) * volume
+    return CONSTANTS.hbar * medium.omega * medium.n * math.cos(theta_r) * volume
 
 
 def emitted_energy_integral(medium: TwoLevelMedium, theta_r: float, radius: float):
     """Burst energy from integrating P_s over t >= tau_r in closed form:
 
-    (hbar omega N w0 / 2) (1 + cos theta_r) * pi r^2 L.
+    (hbar omega n / 2) (1 + cos theta_r) * pi r^2 L.
 
-    N and the argument checks are as in total_emitted_energy.
+    n and the argument checks are as in total_emitted_energy.
     """
     volume = math.pi * radius**2 * medium.L
-    return 0.5 * CONSTANTS.hbar * medium.omega * medium.N * medium.w0 * (1.0 + math.cos(theta_r)) * volume
+    return 0.5 * CONSTANTS.hbar * medium.omega * medium.n * (1.0 + math.cos(theta_r)) * volume
 
 
 def dephasing_time(p_mbar, params: DephasingParameters):
@@ -304,7 +307,6 @@ def pressure_scan(
     def row(i):
         return f"p = {p[i].item()!r} mbar"
 
-    # N^2 can overflow where the product w0^2 N^2 would not (a tiny w0).
     i_peak, e_total = finite_columns("scan", "I_peak,E_total", lambda: [
         peak_intensity(m), total_emitted_energy(m, theta_r, radius),
     ], row)

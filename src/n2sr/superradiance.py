@@ -3,12 +3,16 @@
 Once the seed is gone, the tipped Bloch vector obeys the pendulum equation
 
     d theta / dt = sign(w0) * sin(theta) / tau_W,
-    tau_W = 4 hbar / (mu0 c omega mu^2 |w0| N L),
+    tau_W = 4 hbar / (mu0 c omega mu^2 |n| L),
 
 whose solution through theta(tau_r) = theta_r is
 
     theta(t) = 2 arctan( exp( sign(w0) * (t - tau_D) / tau_W ) ),
     tau_D    = tau_r - sign(w0) * tau_W * ln tan(theta_r / 2).
+
+The burst reads the medium through the inversion density n = w0 N
+(TwoLevelMedium.n), its sign and the column density n L, which each closed
+form takes before its constant prefactor; w0 alone sets only w = w0 cos theta.
 
 Both signs of w0 give the same emitted burst shapes: a hyperbolic-secant
 field, a sech^2 power peaking at tau_D with value P0, and a stored-energy
@@ -104,19 +108,19 @@ def classify_regime(w0: float, theta_r: float) -> Regime:
 
 
 def characteristic_duration(medium: TwoLevelMedium):
-    """Collective emission time scale tau_W = 4 hbar / (mu0 c omega mu^2 |w0| N L).
+    """Collective emission time scale tau_W = 4 hbar / (mu0 c omega mu^2 |n| L), n = w0 N.
 
     Elementwise when medium.N is a scan column. A denominator that
     underflows to 0 raises NumericalError.
     """
-    k, n = CONSTANTS, medium.N
-    denom = k.mu0 * k.c * medium.omega * medium.mu**2 * abs(medium.w0) * n * medium.L
+    k = CONSTANTS
+    denom = k.mu0 * k.c * medium.omega * medium.mu**2 * (abs(medium.n) * medium.L)
     if not np.greater(denom, 0.0).all():
-        if not np.greater(n, 0.0).all() or medium.w0 == 0.0:
+        if not np.greater(medium.N, 0.0).all() or medium.w0 == 0.0:
             raise NoSuperradianceError("collective emission requires N > 0 and w0 != 0")
         raise NumericalError(
             "tau_W is not finite: its denominator mu0 c omega mu^2 |w0| N L is 0 "
-            f"at N = {float(np.min(n))!r} m^-3"
+            f"at N = {float(np.min(medium.N))!r} m^-3"
         )
     return 4.0 * k.hbar / denom
 
@@ -188,18 +192,13 @@ class SuperradianceSolution:
 
 
 def peak_power_density(medium: TwoLevelMedium):
-    """Burst peak power per volume, P0 = mu0 c omega^2 mu^2 w0^2 N^2 L / 8.
-
-    Elementwise in a scan column N. numpy squares an array as N * N while a
-    Python float's N**2 goes through libm pow, so the two can differ in the
-    last bit.
-    """
-    k = CONSTANTS
-    return 0.125 * k.mu0 * k.c * medium.omega**2 * medium.mu**2 * medium.w0**2 * medium.N**2 * medium.L
+    """Burst peak power per volume P0 = mu0 c omega^2 mu^2 n n L / 8, elementwise in N."""
+    k, n = CONSTANTS, medium.n
+    return 0.125 * k.mu0 * k.c * medium.omega**2 * medium.mu**2 * (n * (n * medium.L))
 
 
 def peak_intensity(medium: TwoLevelMedium):
-    """Burst peak intensity, exactly peak_power_density * L (scales as N^2 L^2)."""
+    """Burst peak intensity, exactly peak_power_density * L (scales as n^2 L^2)."""
     return peak_power_density(medium) * medium.L
 
 
@@ -213,10 +212,7 @@ def solve_after_seed(medium: TwoLevelMedium, theta_r: float, tau_r: float) -> Su
     classify_regime(medium.w0, theta_r)  # rejects the degenerate w0 and angles
     tau_w = characteristic_duration(medium)
     tau_d = time_delay(medium, theta_r, tau_r)
-    try:
-        p0 = peak_power_density(medium)
-    except OverflowError:  # N**2 of a Python float raises where N * N gives inf
-        p0 = math.inf
+    p0 = peak_power_density(medium)
     i0 = p0 * medium.L
     if not (0.0 < p0 < math.inf and 0.0 < i0 < math.inf):
         raise NumericalError(
@@ -239,14 +235,14 @@ def solve_from_seed(pulse: SeedPulse, medium: TwoLevelMedium) -> SuperradianceSo
 
 
 def energy_density(t, sol: SuperradianceSolution):
-    """Stored excitation energy density, -(hbar omega |w0| N / 2) tanh((t - tau_D)/tau_W).
+    """Stored excitation energy density, -(hbar omega |n| / 2) tanh((t - tau_D)/tau_W).
 
-    Equals (hbar omega N / 2) w0 cos theta(t) on either branch: it decreases
+    Equals (hbar omega n / 2) cos theta(t) on either branch: it decreases
     through zero at tau_D as the medium radiates. J/m^3.
     """
     m = sol.medium
     x = (np.asarray(t, dtype=float) - sol.tau_D) / sol.tau_W
-    return -0.5 * CONSTANTS.hbar * m.omega * abs(m.w0) * m.N * np.tanh(x)
+    return -0.5 * CONSTANTS.hbar * m.omega * abs(m.n) * np.tanh(x)
 
 
 def emitted_power_density(t, sol: SuperradianceSolution):
@@ -260,10 +256,10 @@ def emitted_intensity(t, sol: SuperradianceSolution):
 
 
 def emitted_field_envelope(t, sol: SuperradianceSolution):
-    """Emitted field amplitude (mu0 omega c mu |w0| N L / 2) sech((t - tau_D)/tau_W). V/m."""
+    """Emitted field amplitude (mu0 omega c mu |n| L / 2) sech((t - tau_D)/tau_W). V/m."""
     m = sol.medium
     k = CONSTANTS
-    amp = 0.5 * k.mu0 * m.omega * k.c * m.mu * abs(m.w0) * m.N * m.L
+    amp = 0.5 * k.mu0 * m.omega * k.c * m.mu * (abs(m.n) * m.L)
     x = (np.asarray(t, dtype=float) - sol.tau_D) / sol.tau_W
     # cosh overflow far from tau_D saturates the field to its limit 0.
     with np.errstate(over="ignore"):

@@ -19,14 +19,18 @@ from n2sr.constants import ps_to_s, s_to_ps
 from n2sr.profiles import synthesize_sech2_trace, write_trace_csv
 
 
-def read_csv(path):
-    lines = path.read_text().splitlines()
+def parse_csv(text):
+    lines = text.splitlines()
     header = lines[0].split(",")
     cols = {name: [] for name in header}
     for line in lines[1:]:
         for name, field in zip(header, line.split(",")):
             cols[name].append(field)
     return cols
+
+
+def read_csv(path):
+    return parse_csv(path.read_text())
 
 
 def floats(cols, name):
@@ -182,7 +186,7 @@ class TestRegimes:
         "override, message",
         [
             ("regime_span_tau_w=1.7e308", "regime 1 column 't_ps' is inf at t_rel_tau_W = 1.0795e+308"),
-            ("window_tau_w=1.7e308", "profile column 't_ps' is -inf at t = -2.8322000000000005e+296 s"),
+            ("window_tau_w=1.7e308", "profile column 't_ps' is -inf at t = -2.8322e+296 s"),
         ],
     )
     def test_non_finite_column_exits_2(self, tmp_path, capsys, override, message):
@@ -279,6 +283,21 @@ class TestPressureScan:
         assert main(["pressure-scan", "--out", str(a)]) == 0
         assert main(["pressure-scan", "--out", str(b)]) == 0
         assert (a / "pressure_scan.csv").read_bytes() == (b / "pressure_scan.csv").read_bytes()
+
+    @pytest.mark.parametrize("raw, named", [
+        ("1e300", "1e+300"),
+        ("1.7976931348623157e308", "1.7976931348623157e+308"),
+        ("6,1e300,1e301", "1e+300"),
+    ])
+    def test_overflowing_density_is_named(self, tmp_path, capsys, raw, named):
+        """N = k (p - p0) past the float range: one line naming N and the first such pressure."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["pressure-scan", "--pressures", raw, "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"numerical failure: the emitter density N = k (p - p0) is not finite at p = {named} mbar\n"
+        )
 
     def test_non_finite_column_exits_2(self, tmp_path, capsys):
         """tau_2 near the float maximum overflows in ps: one line, no warning, no CSV."""
@@ -483,16 +502,6 @@ class TestArithmeticFailures:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: OverflowError: ") and err.count("\n") == 1
 
-    def test_underflowing_burst_peak_exits_2(self, tmp_path, capsys):
-        """P0 ~ N^2 L underflows to 0 before any check reads the burst."""
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(["validate", "--set", "length_mm=1e300", "--out", str(tmp_path)])
-        assert code == 2
-        assert caught == []
-        err = capsys.readouterr().err
-        assert err.startswith("numerical failure: burst peak P0 = 0.000e+00") and err.count("\n") == 1
-
     @pytest.mark.parametrize("command", ["pressure-scan", "validate"])
     def test_underflowing_scan_energy_exits_2(self, tmp_path, capsys, command):
         """E_total underflows to 0 at every pressure, so its norm column is 0/0."""
@@ -528,20 +537,72 @@ class TestArithmeticFailures:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: " + line) and err.count("\n") == 1
 
-    @pytest.mark.parametrize("command", ["pressure-scan", "validate"])
-    @pytest.mark.parametrize("w0, value", [
-        ("1.4998098156348833e-139", "inf"),
-        ("1.7471761246767465e-162", "nan"),
-        ("1.4005611425667378e-235", "nan"),
-    ])
-    def test_overflowing_peak_intensity_is_named(self, tmp_path, capsys, command, w0, value):
-        """The calibrated N ~ 1/w0 overflows N^2: the scan names I_peak, the reference burst P0."""
-        assert main([command, "--set", f"w0={w0}", "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        if command == "pressure-scan":
-            assert err == f"numerical failure: scan column 'I_peak' is {value} at p = 6.0 mbar\n"
-        else:
-            assert err.startswith("numerical failure: burst peak P0 = inf") and err.count("\n") == 1
+
+def _without_column(text, name):
+    rows = [line.split(",") for line in text.splitlines()]
+    i = rows[0].index(name)
+    return [row[:i] + row[i + 1:] for row in rows]
+
+
+class TestInversionDensity:
+    """The burst reads the medium only through n = w0 N, its sign and the column density n L."""
+
+    COMMANDS = ("validate", "regimes", "pressure-scan")
+    # The output columns that read N or w0 itself rather than n.
+    OWN_COLUMNS = {"pressure_scan.csv": "N_per_cm3", **{f"regime{i}.csv": "w" for i in range(1, 5)}}
+
+    def run_all(self, tmp_path, capsys, override):
+        """Per command: exit code, stdout, stderr and every output but the manifest."""
+        runs = {}
+        for command in self.COMMANDS:
+            out = tmp_path / f"{command}-{override}"
+            code = main([command, "--set", override, "--out", str(out)])
+            files = {p.name: p.read_text() for p in out.iterdir() if p.name != "run-manifest.txt"}
+            runs[command] = (code, *capsys.readouterr(), files)
+        return runs
+
+    @pytest.mark.parametrize("j", [200, 460, 540, 780, 950])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_power_of_two_w0_gives_the_same_burst(self, tmp_path, capsys, sign, j):
+        """w0 = +-0.1 * 2^-j calibrates N = 2^j times the default, so n = w0 N is bit-equal:
+        each command exits as at +-0.1 and writes the same bytes, except the N_per_cm3
+        column, the regime w column and the printed density slope."""
+        base = self.run_all(tmp_path, capsys, f"w0={sign * 0.1!r}")
+        scaled = self.run_all(tmp_path, capsys, f"w0={sign * 0.1 * 2.0**-j!r}")
+        for command in self.COMMANDS:
+            (code, out, err, files), (code_j, out_j, err_j, files_j) = base[command], scaled[command]
+            assert (code_j, err_j, sorted(files_j)) == (code, err, sorted(files)), command
+            if command == "pressure-scan":
+                out, out_j = out.partition("\n")[2], out_j.partition("\n")[2]
+            assert out_j == out, command
+            for name, text in files.items():
+                column = self.OWN_COLUMNS.get(name)
+                if column is None:
+                    assert files_j[name] == text, name
+                else:
+                    assert _without_column(files_j[name], column) == _without_column(text, column), name
+            if "pressure_scan.csv" in files:
+                n, n_j = (floats(parse_csv(f["pressure_scan.csv"]), "N_per_cm3") for f in (files, files_j))
+                assert [b / a for a, b in zip(n, n_j)] == [2.0**j] * len(n)
+        assert base["pressure-scan"][0] == (0 if sign > 0 else 1)
+
+    @pytest.mark.parametrize("w0", [0.1 * 2.0**-952, 1e-300, -1e-300, 5e-324])
+    def test_overflowing_density_is_named(self, tmp_path, capsys, w0):
+        """Below w0 = 0.1 * 2^-950 the calibrated N ~ 1/|w0| leaves the float range at
+        some pressure: each command exits 0, or exits 2 with one line naming N."""
+        for command, (code, _, err, _) in self.run_all(tmp_path, capsys, f"w0={w0!r}").items():
+            if code == 0:
+                assert err == "", command
+            else:
+                assert code == 2 and err.count("\n") == 1, (command, err)
+                assert err.startswith("numerical failure: the emitter density N = k (p - p0) is not finite")
+
+    def test_huge_length_runs_quietly(self, tmp_path, capsys):
+        """The column density n L is formed before the constant prefactors, so a length
+        near the float maximum gives an ordinary tau_W, I0 and field: exit 0, no warning."""
+        for length in ("1e300", "1e308", "1.7976931348623157e308"):
+            for command, (code, _, err, _) in self.run_all(tmp_path, capsys, f"length_mm={length}").items():
+                assert (code, err) == (0, ""), (length, command)
 
 
 class TestUsageErrors:

@@ -14,6 +14,11 @@ which the 1e6-point grid cap rejects at parse time. The steps of the two
 RK4 oracles are fixed by their checks, not by the config.
 Grid keys stay at or below 5000 points, or just past the grid cap.
 
+The pressure fuzz runs pressure-scan on drawn `--pressures` lists, with
+an override or none: 1 to 8 pressures from 0 to 1e6 mbar or up to the
+float maximum, with extremes at 1e300, the float maximum, the threshold
+p0 and the next float above it. The same exit and no-warning rule applies.
+
 The trace fuzz writes one trace with pressure metadata per example and runs
 `sr fit` on it in-process: 1 to 200 rows of a flat, zero, spike, edge,
 plateau, two-peak, noise or sech^2 shape, at steps of 1e-6 to 1e6 ps and
@@ -78,9 +83,10 @@ def overrides(draw):
     return {key: draw(VALUES[key]) for key in keys}
 
 
-def run(command: str, overrides: dict) -> tuple[int, str, list[str]]:
+def run(command: str, overrides: dict, *extra: str) -> tuple[int, str, list[str]]:
     """Exit code, stderr and the messages of the warnings the command raised."""
     args = [a for key, value in overrides.items() for a in ("--set", f"{key}={value!r}")]
+    args += extra
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -106,6 +112,28 @@ def test_every_command_exits_with_a_documented_code(overrides):
         assert code in (0, 1, 2, 3), (command, code, err)
         assert err.count("\n") == (code != 0), (command, code, err)
         assert caught == [], (command, code, caught)
+
+
+P0_MBAR = _DEFAULTS.p0_mbar
+PRESSURE_EXTREMES = (1e300, 1.7976931348623157e308, P0_MBAR, float(np.nextafter(P0_MBAR, np.inf)))
+PRESSURES = st.lists(st.one_of(
+    st.floats(min_value=0.0, max_value=1e6),
+    st.floats(min_value=P0_MBAR, max_value=1.7976931348623157e308),
+    st.sampled_from(PRESSURE_EXTREMES),
+), min_size=1, max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(PRESSURES, st.one_of(st.just({}), overrides()))
+@example([1e300], {})
+@example([1.7976931348623157e308], {})
+@example([PRESSURE_EXTREMES[-1]], {})
+@example([6.0, 1e300], {"w0": 1e-280})
+def test_pressure_scan_exits_with_a_documented_code(pressures, overrides):
+    code, err, caught = run("pressure-scan", overrides, "--pressures", ",".join(map(repr, pressures)))
+    assert code in (0, 1, 2), (code, err)
+    assert err.count("\n") == (code != 0), (code, err)
+    assert caught == [], (code, caught)
 
 
 SHAPES = {
