@@ -297,6 +297,14 @@ def pressure_scan(
         raise ValueError("radius must be positive")
 
     m = medium_at_pressure(cal, medium_template, p)
+    # A finite N times a huge L can still overflow; tau_W would read 0.
+    with np.errstate(over="ignore"):
+        column = np.abs(m.n) * m.L
+    lost = np.flatnonzero(~np.isfinite(column))
+    if lost.size:
+        raise NumericalError(
+            f"the column density n L = w0 N L is not finite at p = {p[lost[0]].item()!r} mbar"
+        )
     theta_r = bloch_angle(seed, m, seed.tau_r)
     tau_w = characteristic_duration(m)
     # time_delay rejects a theta_r outside (0, pi), which the energies assume.

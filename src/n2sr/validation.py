@@ -57,10 +57,14 @@ ORDER_RESOLVED_ERROR = 1e-12
 # complex temporaries per step, so this bounds its memory.
 MAX_RK4_STEPS = 10**6
 
-# The pendulum oracle's step and its span past the handover, in each case's
-# tau_W: 1 000 steps per case at h and 500 at 2h, whatever the config.
+# The pendulum oracle's step and how far it runs past each case's burst
+# peak, in that case's tau_W: a case spans (max(sigma_D, 0) + 3) tau_W past
+# tau_r, about 100 steps per tau_W at h and half as many at 2h. The largest
+# error of either run lies at most 1.64 tau_W past max(sigma_D, 0) for start
+# angles from 1e-8 to 3.14 rad on both branches.
 PENDULUM_STEP_TAU_W = 1e-2
-PENDULUM_SPAN_TAU_W = 10.0
+PENDULUM_TAIL_TAU_W = 3.0
+PENDULUM_ERROR_BOUND = 1e-7  # rad, on the h run
 
 
 class CheckResult(NamedTuple):
@@ -159,53 +163,78 @@ def _check_bloch(cfg, handover: Sequence[float]) -> tuple[CheckResult, CheckResu
     return conservation, closed_form
 
 
+def _peak_delay_tau_w(w0: float, theta_r: float) -> float:
+    """sigma_D = (tau_D - tau_r)/tau_W = -sign(w0) ln tan(theta_r/2), the pendulum's
+    delay from the handover to its burst peak (Gross & Haroche 1982)."""
+    return -math.copysign(1.0, w0) * math.log(math.tan(0.5 * theta_r))
+
+
+def _pendulum_case(m, theta_r: float, tau_r: float) -> tuple[float, Optional[float]]:
+    """e_h and the observed order of one pendulum case, run at 2h and at h.
+
+    The span is max(sigma_D, 0) + PENDULUM_TAIL_TAU_W tau_W, rounded up to
+    whole 2h steps, so both runs step at exactly 2h and h and a longer tail
+    only adds nodes past the shorter one's. A start the floats resolve too
+    coarsely to reach its peak within the bound runs the tail only.
+    """
+    case = solve_after_seed(m, theta_r, tau_r)
+    dt = PENDULUM_STEP_TAU_W * case.tau_W
+    # Two roundings set the floor below which an error is roundoff: theta is
+    # rounded by eps * theta each step, which the escape from the unstable end
+    # grows by up to theta_r / sin(theta_r); and t and tau_D are rounded by
+    # eps * t, which is eps * t / tau_W in units of the burst. A start whose
+    # first term alone exceeds the bound (theta_r near pi on the absorbing
+    # branch) would miss it at the peak: from theta_strong_over_pi = 1 - 1e-9
+    # on, that case read 4e-7 rad or more there.
+    roundoff, conditioning = 30.0 * sys.float_info.epsilon, theta_r / math.sin(theta_r)
+    delay = _peak_delay_tau_w(m.w0, theta_r) if roundoff * conditioning <= PENDULUM_ERROR_BOUND else 0.0
+    span_tau_w = max(delay, 0.0) + PENDULUM_TAIL_TAU_W
+    coarse_steps = math.ceil(span_tau_w / (2.0 * PENDULUM_STEP_TAU_W))
+    span = coarse_steps * 2.0 * dt
+    t_end = tau_r + span
+    if not t_end > tau_r:
+        raise NumericalError(
+            f"pendulum-closed-form: its span of {coarse_steps * 2.0 * PENDULUM_STEP_TAU_W:.3g} tau_W "
+            f"= {span:.3e} s is lost in rounding at tau_r = {tau_r:.3e} s"
+        )
+    errors, counts = [], []
+    for h in (2.0 * dt, dt):
+        t, theta = integrate_pendulum(theta_r, tau_r, m, t_end, h)
+        # When tau_r >> tau_W, t_end - tau_r rounds off span and the kernel
+        # rounds span / h up, so a run can take one step more.
+        counts.append(len(t) - 1)
+        errors.append(float(np.max(np.abs(theta - case.bloch_angle(t)))))
+    scale = conditioning + (t_end + abs(case.tau_D)) / case.tau_W
+    floor = max(ORDER_RESOLVED_ERROR, roundoff * scale)
+    return errors[1], _observed_order(errors, counts, floor)
+
+
 def _check_pendulum(cfg, sol: SuperradianceSolution) -> CheckResult:
     """RK4 against the closed form at h = PENDULUM_STEP_TAU_W tau_W and at 2h.
 
-    The 2h run costs half the h run and gives the order by step doubling
-    (Richardson's estimate). Its error is about 16 times e_h, so only the
-    h run is bounded: the check passes when the worst h-run error is at
-    most 1e-7 rad and every resolved order is within ORDER_TOLERANCE of 4.
-    A span past tau_r that rounds away at tau_r leaves nothing to compare
-    and raises NumericalError, naming the check.
+    Each case runs from tau_r to PENDULUM_TAIL_TAU_W tau_W past its burst
+    peak, or past tau_r when the peak precedes it. sigma_D comes from the
+    case's own theta_r and branch, so a defect in tau_D cannot move the
+    window it is read on. The 2h run costs half the h run and gives the
+    order by step doubling (Richardson's estimate). Its error is about 16
+    times e_h, so only the h run is bounded: the check passes when the
+    worst h-run error is at most PENDULUM_ERROR_BOUND and every resolved
+    order is within ORDER_TOLERANCE of 4. A span past tau_r that rounds away
+    at tau_r leaves nothing to compare and raises NumericalError, naming
+    the check and the span.
     """
     medium, tau_r = sol.medium, sol.tau_r
-    worst = 0.0
-    orders = []
-    cases = [
+    theta_strong = cfg.theta_strong_over_pi * math.pi
+    errors, orders = zip(*(_pendulum_case(m, theta_r, tau_r) for m, theta_r in (
         (medium, sol.theta_r),
         (medium, 0.3 * math.pi),
-        (medium, cfg.theta_strong_over_pi * math.pi),
-        (dataclasses.replace(medium, w0=-medium.w0), cfg.theta_strong_over_pi * math.pi),
-    ]
-    for m, theta_r in cases:
-        case = solve_after_seed(m, theta_r, tau_r)
-        dt = PENDULUM_STEP_TAU_W * case.tau_W
-        span = PENDULUM_SPAN_TAU_W * case.tau_W
-        t_end = tau_r + span
-        if not t_end > tau_r:
-            raise NumericalError(
-                f"pendulum-closed-form: its span of {PENDULUM_SPAN_TAU_W:g} tau_W = {span:.3e} s "
-                f"is lost in rounding at tau_r = {tau_r:.3e} s"
-            )
-        errors, counts = [], []
-        for h in (2.0 * dt, dt):
-            t, theta = integrate_pendulum(theta_r, tau_r, m, t_end, h)
-            # The kernel rounds span / h up, so h takes 2n or 2n - 1 steps
-            # where 2h takes n.
-            counts.append(len(t) - 1)
-            errors.append(float(np.max(np.abs(theta - case.bloch_angle(t)))))
-        worst = max(worst, errors[1])
-        # Two roundings can lift the floor above ORDER_RESOLVED_ERROR: theta is
-        # rounded by eps * theta each step, which a start near the unstable end
-        # grows by up to 1 / sin(theta_r); and t and tau_D are rounded by
-        # eps * t, which is eps * t / tau_W in units of the burst.
-        scale = theta_r / math.sin(theta_r) + (t_end + abs(case.tau_D)) / case.tau_W
-        floor = max(ORDER_RESOLVED_ERROR, 30.0 * sys.float_info.epsilon * scale)
-        orders.append(_observed_order(errors, counts, floor))
+        (medium, theta_strong),
+        (dataclasses.replace(medium, w0=-medium.w0), theta_strong),
+    )))
+    worst = max(errors)
     return CheckResult(
         "pendulum-closed-form",
-        worst <= 1e-7 and all(map(_order_ok, orders)),
+        worst <= PENDULUM_ERROR_BOUND and all(map(_order_ok, orders)),
         f"max |ode - closed form| = {worst:.3e} rad, "
         f"observed order {', '.join(map(_order_text, orders))}",
     )
@@ -279,7 +308,7 @@ def _check_scan_scaling(cfg, scan) -> CheckResult:
     worst = float(np.max([np.abs(scan.I_peak_norm - x**2), np.abs(scan.E_total_norm - x)]))
     widths_fall = bool(np.all(np.diff(scan.tau_W) < 0.0))
     tau_r = cfgmod.seed_pulse(cfg).tau_r
-    lever = -math.copysign(1.0, cfg.w0) * math.log(math.tan(0.5 * scan.theta_r))
+    lever = _peak_delay_tau_w(cfg.w0, scan.theta_r)
     delay = np.abs((scan.tau_D - tau_r) / scan.tau_W - lever)
     delay_ok = bool(np.all(delay <= 1e-12 * np.maximum(1.0, tau_r / scan.tau_W)))
     ok = worst <= 1e-12 and widths_fall and delay_ok

@@ -299,6 +299,19 @@ class TestPressureScan:
             f"numerical failure: the emitter density N = k (p - p0) is not finite at p = {named} mbar\n"
         )
 
+    @pytest.mark.parametrize("length", ["1e300", "1e295"])
+    def test_overflowing_column_density_is_named(self, tmp_path, capsys, length):
+        """A finite N times a huge L leaves the float range: one line naming n L, no warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["pressure-scan", "--pressures", "6,2.2789125728669927e+290",
+                         "--set", f"length_mm={length}", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: the column density n L = w0 N L is not finite "
+            "at p = 2.2789125728669927e+290 mbar\n"
+        )
+
     def test_non_finite_column_exits_2(self, tmp_path, capsys):
         """tau_2 near the float maximum overflows in ps: one line, no warning, no CSV."""
         with warnings.catch_warnings(record=True) as caught:
@@ -424,9 +437,9 @@ class TestValidate:
 
     @pytest.mark.parametrize("overrides, line", [
         (["anchor_tau_w_ps=1e-20"],
-         "its span of 10 tau_W = 1.000e-31 s is lost in rounding at tau_r = 9.360e-13 s"),
+         "its span of 5.44 tau_W = 5.440e-32 s is lost in rounding at tau_r = 9.360e-13 s"),
         (["anchor_tau_w_ps=1e-147", "length_mm=1e100"],
-         "its span of 10 tau_W = 1.000e-158 s is lost in rounding at tau_r = 9.360e-13 s"),
+         "its span of 5.44 tau_W = 5.440e-159 s is lost in rounding at tau_r = 9.360e-13 s"),
     ], ids=["tiny-tau-w", "tiny-tau-w-long-medium"])
     def test_pendulum_span_lost_at_tau_r_exits_2(self, tmp_path, capsys, overrides, line):
         """A burst too short to move t past tau_r leaves the pendulum oracle
@@ -434,6 +447,16 @@ class TestValidate:
         args = [a for o in overrides for a in ("--set", o)]
         assert main(["validate", *args, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr() == ("", f"numerical failure: pendulum-closed-form: {line}\n")
+
+    def test_weak_seed_is_followed_to_its_burst(self, tmp_path, capsys):
+        """At 1e-300 MW/cm^2 the burst peaks about 349 tau_W after tau_r; each pendulum
+        case runs past its own peak, so every order is resolved (a fixed 10 tau_W left
+        the first case unresolved)."""
+        assert main(["validate", "--set", "seed_intensity_mw_cm2=1e-300", "--out", str(tmp_path)]) == 0
+        line, = [l for l in capsys.readouterr().out.splitlines() if "pendulum-closed-form" in l]
+        orders = line.split("observed order ")[1].split(", ")
+        assert line.startswith("PASS") and len(orders) == 4
+        assert all(abs(float(order) - 4.0) <= 0.05 for order in orders), line
 
     def test_absorbing_medium_exits_1(self, tmp_path, capsys):
         assert main(["validate", "--set", "w0=-0.1", "--out", str(tmp_path)]) == 1

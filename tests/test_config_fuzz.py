@@ -129,6 +129,7 @@ PRESSURES = st.lists(st.one_of(
 @example([1.7976931348623157e308], {})
 @example([PRESSURE_EXTREMES[-1]], {})
 @example([6.0, 1e300], {"w0": 1e-280})
+@example([2.2789125728669927e+290], {"length_mm": 1e300})
 def test_pressure_scan_exits_with_a_documented_code(pressures, overrides):
     code, err, caught = run("pressure-scan", overrides, "--pressures", ",".join(map(repr, pressures)))
     assert code in (0, 1, 2), (code, err)

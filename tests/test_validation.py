@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -270,7 +271,8 @@ class TestPendulumOrder:
     """The pendulum oracle runs at 2h and h and gates the observed order."""
 
     def test_runs_at_2h_and_h_bound_the_h_run(self, cfg, monkeypatch):
-        """Eight runs of 6 000 steps in all; the reported error is the worst h-run error."""
+        """Eight runs of 2 316 steps in all, each case's span (max(sigma_D, 0) + 3) tau_W
+        in whole 2h steps; the reported error is the worst h-run error."""
         integrate = validation.integrate_pendulum
         runs = []
 
@@ -283,15 +285,20 @@ class TestPendulumOrder:
         sol = config.reference_solution(cfg)
         result = validation._check_pendulum(cfg, sol)
         assert len(runs) == 8
-        assert sum(len(t) - 1 for *_, t, _ in runs) == 6000
+        expected = 0
         h_errors = []
         for coarse, (theta_r, medium, dt, t, theta) in zip(runs[::2], runs[1::2]):
             assert coarse[2] == 2.0 * dt
+            sigma_d = -np.sign(medium.w0) * np.log(np.tan(0.5 * theta_r))
+            n = math.ceil((max(sigma_d, 0.0) + 3.0) / 0.02)
+            assert (len(coarse[3]) - 1, len(t) - 1) == (n, 2 * n)
+            expected += 3 * n
             case = solve_after_seed(medium, theta_r, sol.tau_r)
             h_errors.append(float(np.max(np.abs(theta - case.bloch_angle(t)))))
         error, _ = error_and_orders(result.detail)
         assert result.passed
         assert f"{error:.3e}" == f"{max(h_errors):.3e}"
+        assert sum(len(t) - 1 for *_, t, _ in runs) == expected == 2316
 
     def test_coarse_run_is_not_bounded(self, cfg, monkeypatch):
         """At h = 0.05 tau_W the 2h error is about 1.5e-6 rad; only e_h meets the 1e-7 bound."""
@@ -349,6 +356,14 @@ class TestPendulumOrder:
         assert result.passed, result.detail
         assert "unresolved" in result.detail
 
+    @pytest.mark.parametrize("theta_strong_over_pi", [1.0 - 1e-9, 0.9999999999999999])
+    def test_start_the_floats_cannot_resolve_runs_the_tail_only(self, cfg, theta_strong_over_pi):
+        """Within 2e-7 rad of pi on the absorbing branch, eps * theta_r / sin(theta_r)
+        grown to the peak would read 4e-7 to 3 rad; that case is not followed to it."""
+        run = dataclasses.replace(cfg, theta_strong_over_pi=theta_strong_over_pi)
+        result = validation._check_pendulum(run, config.reference_solution(run))
+        assert result.passed, result.detail
+
     def test_observed_order_rule(self):
         assert validation._observed_order([16e-10, 1e-10], [1000, 2000]) == pytest.approx(4.0, rel=1e-15)
         assert validation._observed_order([16e-10, 1e-10], [34, 67]) == pytest.approx(4.0874, rel=1e-4)
@@ -356,6 +371,44 @@ class TestPendulumOrder:
         assert validation._observed_order([16e-10, 1e-10], [1000, 2000], floor=1e-9) is None
         assert validation._order_ok(None) and validation._order_ok(4.49)
         assert not validation._order_ok(3.49)
+
+
+# Start angles across (0, pi): 1e-8 to 1 rad geometrically, then 1.2 to 3.14 rad.
+SPAN_ANGLES = [*np.geomspace(1e-8, 1.0, 12), *np.linspace(1.2, 3.14, 11)]
+
+
+def pendulum_reading(cfg, monkeypatch, tail, w0_sign, theta_r):
+    """One pendulum case's printed e_h and order, with the tail past the peak set to tail.
+
+    An unresolved e_h is roundoff, which an ulp of the step moves; it reads
+    as under the floor.
+    """
+    monkeypatch.setattr(validation, "PENDULUM_TAIL_TAU_W", tail)
+    sol = config.reference_solution(cfg)
+    medium = dataclasses.replace(sol.medium, w0=w0_sign * abs(sol.medium.w0))
+    error, order = validation._pendulum_case(medium, theta_r, sol.tau_r)
+    if order is None:
+        return error < validation.ORDER_RESOLVED_ERROR, "unresolved"
+    return f"{error:.3e}", validation._order_text(order)
+
+
+class TestPendulumSpan:
+    """Each pendulum case runs to PENDULUM_TAIL_TAU_W = 3 tau_W past its burst peak."""
+
+    @pytest.mark.parametrize("w0_sign", [1.0, -1.0], ids=["inverted", "absorbing"])
+    @pytest.mark.parametrize("theta_r", SPAN_ANGLES, ids=lambda theta: f"{theta:.3g}")
+    def test_three_tau_w_tail_reads_as_twenty(self, cfg, monkeypatch, w0_sign, theta_r):
+        assert validation.PENDULUM_TAIL_TAU_W == 3.0
+        three = pendulum_reading(cfg, monkeypatch, 3.0, w0_sign, theta_r)
+        assert three == pendulum_reading(cfg, monkeypatch, 20.0, w0_sign, theta_r)
+
+    @pytest.mark.parametrize("w0_sign", [1.0, -1.0], ids=["inverted", "absorbing"])
+    def test_one_tau_w_tail_misses_the_largest_error(self, cfg, monkeypatch, w0_sign):
+        """Near theta_r = pi/2 the largest error lies about 1.6 tau_W past the peak."""
+        missed = [theta_r for theta_r in SPAN_ANGLES
+                  if pendulum_reading(cfg, monkeypatch, 1.0, w0_sign, theta_r)
+                  != pendulum_reading(cfg, monkeypatch, 20.0, w0_sign, theta_r)]
+        assert 1.588 in [round(theta_r, 3) for theta_r in missed], missed
 
 
 def check_bloch(cfg, scale=1.0):
