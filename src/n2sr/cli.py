@@ -127,37 +127,34 @@ def cmd_regimes(cfg: RunConfig, outdir: Path) -> int:
             f"the configured seed tips the Bloch vector to {weak.theta_r:.4f} rad; "
             "the weak-seed panels need theta_r in (0, pi/2)"
         )
-    medium, tau_r = weak.medium, weak.tau_r
+    # Each panel is its burst handed over at t = 0, so it is evaluated at
+    # (t - tau_r), which stays resolved however short tau_W is next to tau_r;
+    # tau_r comes back only in the written t_ps column.
     theta_strong = cfg.theta_strong_over_pi * math.pi
-    absorbing = dataclasses.replace(medium, w0=-medium.w0)
+    absorbing = dataclasses.replace(weak.medium, w0=-weak.medium.w0)
     solutions = [
-        weak,
-        solve_after_seed(medium, theta_strong, tau_r),
-        solve_after_seed(absorbing, weak.theta_r, tau_r),
-        solve_after_seed(absorbing, theta_strong, tau_r),
+        solve_after_seed(medium, theta_r, 0.0)
+        for medium in (weak.medium, absorbing)
+        for theta_r in (weak.theta_r, theta_strong)
     ]
 
     # Shared dimensionless grid (t - tau_r)/tau_W, with each burst's exact
     # peak offset spliced in so delayed peaks hit P/P0 = 1 on a sample.
     span = cfg.regime_span_tau_w
     grid = np.linspace(0.0, span, cfg.regime_points)
-    peaks = [
-        (sol.tau_D - sol.tau_r) / sol.tau_W
-        for sol in solutions
-        if 0.0 < (sol.tau_D - sol.tau_r) / sol.tau_W < span
-    ]
+    peaks = [sol.tau_D / sol.tau_W for sol in solutions if 0.0 < sol.tau_D / sol.tau_W < span]
     grid = _sorted_unique(np.concatenate([grid, np.asarray(peaks)]))
 
     # Every column is checked before the first file is written, so a command
     # that fails leaves no output behind. tau_W depends only on |n|, so the
     # four panels share one time grid and its two columns.
     header = "t_ps,t_rel_tau_W,theta_rad,w,P_over_P0"
-    t = tau_r + grid * weak.tau_W
+    t = grid * weak.tau_W
 
     def row(i):
         return f"t_rel_tau_W = {grid[i].item()!r}"
 
-    shared = finite_columns("regime 1", "t_ps,t_rel_tau_W", lambda: [s_to_ps(t), grid], row)
+    shared = finite_columns("regime 1", "t_ps,t_rel_tau_W", lambda: [s_to_ps(weak.tau_r + t), grid], row)
     tables = [
         (outdir / f"regime{idx}.csv", header, shared + finite_columns(
             f"regime {idx}", "theta_rad,w,P_over_P0", lambda: [
@@ -172,7 +169,7 @@ def cmd_regimes(cfg: RunConfig, outdir: Path) -> int:
     for idx, sol in enumerate(solutions, start=1):
         print(
             f"regime {idx} ({sol.regime.name.lower().replace('_', ' ')}): "
-            f"tau_D - tau_r = {(sol.tau_D - sol.tau_r) / sol.tau_W:+.3f} tau_W"
+            f"tau_D - tau_r = {sol.tau_D / sol.tau_W:+.3f} tau_W"
         )
     return 0
 

@@ -5,7 +5,8 @@ Each example overrides a few RunConfig keys (every key is drawn from, with
 extremes down to 1e-300 and up to 1e300) and runs seed-phase, regimes,
 pressure-scan and validate in-process. Each must return 0, 1, 2 or 3 with
 no exception escaping and no warning, and a non-zero exit must leave exactly
-one stderr line.
+one stderr line. Exit 3 must name `dephasing-window` alone: the model is not
+valid for the config.
 
 Step-count keys are drawn so that the seed grid has at most about 1e5
 points when the config is accepted: tau_r_over_tau_s <= 50 with
@@ -106,11 +107,17 @@ def run(command: str, overrides: dict, *extra: str) -> tuple[int, str, list[str]
 @example({"w0": 1.7471761246767465e-162})
 @example({"w0": 1.4005611425667378e-235})
 @example({"anchor_tau_w_ps": 1e160})
+@example({"anchor_tau_w_ps": 1e-12})
+@example({"anchor_tau_w_ps": 1e-15})
+@example({"anchor_tau_w_ps": 1e-20})
 def test_every_command_exits_with_a_documented_code(overrides):
     for command in COMMANDS:
         code, err, caught = run(command, overrides)
         assert code in (0, 1, 2, 3), (command, code, err)
         assert err.count("\n") == (code != 0), (command, code, err)
+        # The one validation failure a valid config may meet: the model is not
+        # valid for it, its anchor margin being below validity_threshold.
+        assert code != 3 or err == "1 check(s) failed: dephasing-window\n", (command, err)
         assert caught == [], (command, code, caught)
 
 
