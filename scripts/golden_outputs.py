@@ -3,8 +3,8 @@
     python scripts/golden_outputs.py OUTDIR
 
 Each run writes into its own subdirectory of OUTDIR: seed-phase, regimes,
-validate, pressure-scan over the default pressures and over a second list,
-fit over five synthetic traces, and fit over one trace the fitter stops on
+validate, pressure-scan over the default pressures, over a second list and on
+the absorbing branch (w0 = -0.1), fit over five synthetic traces, and fit over one trace the fitter stops on
 without converging, so the gate also runs its rejected-step path (the traces
 are written first, under OUTDIR/traces). Then one line per file is printed,
 sorted by path:
@@ -74,6 +74,7 @@ def run_all(outdir: Path) -> None:
         "validate": ["validate"],
         "pressure-scan": ["pressure-scan"],
         "pressure-scan-list": ["pressure-scan", "--pressures", SECOND_PRESSURES],
+        "pressure-scan-absorbing": ["pressure-scan", "--set", "w0=-0.1"],
         "fit": ["fit", *traces],
         "fit-stuck": ["fit", stuck],
     }

@@ -127,13 +127,10 @@ def cmd_regimes(cfg: RunConfig, outdir: Path) -> int:
             f"the configured seed tips the Bloch vector to {weak.theta_r:.4f} rad; "
             "the weak-seed panels need theta_r in (0, pi/2)"
         )
-    # Each panel is its burst handed over at t = 0, so it is evaluated at
-    # (t - tau_r), which stays resolved however short tau_W is next to tau_r;
-    # tau_r comes back only in the written t_ps column.
     theta_strong = cfg.theta_strong_over_pi * math.pi
     absorbing = dataclasses.replace(weak.medium, w0=-weak.medium.w0)
     solutions = [
-        solve_after_seed(medium, theta_r, 0.0)
+        solve_after_seed(medium, theta_r)
         for medium in (weak.medium, absorbing)
         for theta_r in (weak.theta_r, theta_strong)
     ]
@@ -149,12 +146,12 @@ def cmd_regimes(cfg: RunConfig, outdir: Path) -> int:
     # that fails leaves no output behind. tau_W depends only on |n|, so the
     # four panels share one time grid and its two columns.
     header = "t_ps,t_rel_tau_W,theta_rad,w,P_over_P0"
-    t = grid * weak.tau_W
+    t, tau_r = grid * weak.tau_W, cfgmod.seed_pulse(cfg).tau_r
 
     def row(i):
         return f"t_rel_tau_W = {grid[i].item()!r}"
 
-    shared = finite_columns("regime 1", "t_ps,t_rel_tau_W", lambda: [s_to_ps(weak.tau_r + t), grid], row)
+    shared = finite_columns("regime 1", "t_ps,t_rel_tau_W", lambda: [s_to_ps(tau_r + t), grid], row)
     tables = [
         (outdir / f"regime{idx}.csv", header, shared + finite_columns(
             f"regime {idx}", "theta_rad,w,P_over_P0", lambda: [
@@ -164,7 +161,7 @@ def cmd_regimes(cfg: RunConfig, outdir: Path) -> int:
         for idx, sol in enumerate(solutions, start=1)
     ]
     # write_profile_csv checks its columns before it opens the file.
-    write_profile_csv(outdir / "profile.csv", weak, weak.time_grid(cfg.window_tau_w, cfg.profile_points))
+    write_profile_csv(outdir / "profile.csv", weak, weak.time_grid(cfg.window_tau_w, cfg.profile_points), tau_r)
     write_tables(tables)
     for idx, sol in enumerate(solutions, start=1):
         print(

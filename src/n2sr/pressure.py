@@ -234,31 +234,23 @@ def dephasing_time(p_mbar, params: DephasingParameters):
     return 1.0 / rate
 
 
-def superradiance_valid(tau_2, tau_w, tau_d, threshold: float, p_mbar=None) -> ValidityCheck:
-    """Margin tau_2 / sqrt(tau_W tau_D) of the no-dephasing assumption.
+def superradiance_valid(tau_2, tau_w, tau_peak, threshold: float) -> ValidityCheck:
+    """Margin tau_2 / sqrt(tau_W tau_peak) of the no-dephasing assumption.
 
     The coherent treatment needs the dephasing time to dominate the
-    geometric mean of the burst width and delay; `valid` flags margins at or
+    geometric mean of the burst width and the time from the pump to the
+    burst peak, tau_peak = tau_r + max(tau_D - tau_r, 0) in pump time: a
+    burst whose peak would come before the handover (w0 < 0, or a seed
+    tipping past pi/2) peaks at the handover. `valid` flags margins at or
     above `threshold`. Arrays are taken elementwise, and `valid` is then a
-    bool array. Where tau_D <= 0, as the absorbing branch w0 < 0 or a seed
-    tipping past pi/2 can give, the margin is undefined: the error names the
-    first such element, by its pressure when the matching `p_mbar` is given.
+    bool array.
     """
-    if not (np.greater(tau_2, 0.0).all() and np.greater(tau_w, 0.0).all()):
+    if not all(np.greater(x, 0.0).all() for x in (tau_2, tau_w, tau_peak)):
         raise ValueError("all time scales must be positive")
-    bad = np.flatnonzero(~np.greater(tau_d, 0.0))
-    if bad.size:
-        i = bad[0]
-        at = "" if p_mbar is None else f" at p = {float(np.ravel(p_mbar)[i])!r} mbar"
-        raise ValueError(
-            f"tau_D = {s_to_ps(float(np.ravel(tau_d)[i])):.4g} ps{at}: the dephasing margin "
-            "tau_2/sqrt(tau_W tau_D) is undefined where tau_D <= 0, as it can be for "
-            "w0 < 0 or for a seed that tips past pi/2"
-        )
     # A dephasing time near the float maximum can overflow the margin to inf,
     # which is valid at any threshold.
     with np.errstate(over="ignore"):
-        margin = tau_2 / np.sqrt(tau_w * tau_d)
+        margin = tau_2 / np.sqrt(tau_w * tau_peak)
     if np.ndim(margin) == 0:
         return ValidityCheck(valid=bool(margin >= threshold), margin=float(margin))
     return ValidityCheck(valid=margin >= threshold, margin=margin)
@@ -310,7 +302,7 @@ def pressure_scan(
     # time_delay rejects a theta_r outside (0, pi), which the energies assume.
     tau_d = time_delay(m, theta_r, seed.tau_r)
     tau_2 = dephasing_time(p, dephasing)
-    check = superradiance_valid(tau_2, tau_w, tau_d, threshold=validity_threshold, p_mbar=p)
+    check = superradiance_valid(tau_2, tau_w, np.maximum(tau_d, seed.tau_r), threshold=validity_threshold)
 
     def row(i):
         return f"p = {p[i].item()!r} mbar"

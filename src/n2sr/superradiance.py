@@ -5,10 +5,15 @@ Once the seed is gone, the tipped Bloch vector obeys the pendulum equation
     d theta / dt = sign(w0) * sin(theta) / tau_W,
     tau_W = 4 hbar / (mu0 c omega mu^2 |n| L),
 
-whose solution through theta(tau_r) = theta_r is
+whose solution through theta(0) = theta_r is
 
     theta(t) = 2 arctan( exp( sign(w0) * (t - tau_D) / tau_W ) ),
-    tau_D    = tau_r - sign(w0) * tau_W * ln tan(theta_r / 2).
+    tau_D    = -sign(w0) * tau_W * ln tan(theta_r / 2).
+
+A SuperradianceSolution counts t from the seed's handover at tau_r: the
+burst depends on time only through (t - tau_D)/tau_W, so times within a few
+tau_W of 0 stay resolved however short tau_W is next to tau_r. Pump time,
+tau_r + t, is formed only where a column is written in it.
 
 The burst reads the medium through the inversion density n = w0 N
 (TwoLevelMedium.n), its sign and the column density n L, which each closed
@@ -156,9 +161,8 @@ class SuperradianceSolution:
 
     medium: TwoLevelMedium
     theta_r: float   # Bloch angle handed over by the seed stage, rad
-    tau_r: float     # seed handover time, s
     tau_W: float     # burst width parameter, s
-    tau_D: float     # burst peak time, s
+    tau_D: float     # burst peak time after the handover, s
     P0: float        # peak emitted power density, W/m^3
 
     def __post_init__(self) -> None:
@@ -202,8 +206,8 @@ def peak_intensity(medium: TwoLevelMedium):
     return peak_power_density(medium) * medium.L
 
 
-def solve_after_seed(medium: TwoLevelMedium, theta_r: float, tau_r: float) -> SuperradianceSolution:
-    """Build the burst solution from the handover state (theta_r at tau_r).
+def solve_after_seed(medium: TwoLevelMedium, theta_r: float) -> SuperradianceSolution:
+    """Build the burst solution from the handover state, theta_r at t = 0.
 
     P0 and I0 are positive for every medium that can superradiate, so a
     value of 0 or inf means the peak left the floating-point range: that
@@ -211,7 +215,7 @@ def solve_after_seed(medium: TwoLevelMedium, theta_r: float, tau_r: float) -> Su
     """
     classify_regime(medium.w0, theta_r)  # rejects the degenerate w0 and angles
     tau_w = characteristic_duration(medium)
-    tau_d = time_delay(medium, theta_r, tau_r)
+    tau_d = time_delay(medium, theta_r, 0.0)
     p0 = peak_power_density(medium)
     i0 = p0 * medium.L
     if not (0.0 < p0 < math.inf and 0.0 < i0 < math.inf):
@@ -222,7 +226,6 @@ def solve_after_seed(medium: TwoLevelMedium, theta_r: float, tau_r: float) -> Su
     return SuperradianceSolution(
         medium=medium,
         theta_r=theta_r,
-        tau_r=tau_r,
         tau_W=tau_w,
         tau_D=tau_d,
         P0=p0,
@@ -231,7 +234,7 @@ def solve_after_seed(medium: TwoLevelMedium, theta_r: float, tau_r: float) -> Su
 
 def solve_from_seed(pulse: SeedPulse, medium: TwoLevelMedium) -> SuperradianceSolution:
     """Take the seed's closed-form pulse area at tau_r, then hand over."""
-    return solve_after_seed(medium, bloch_angle(pulse, medium, pulse.tau_r), pulse.tau_r)
+    return solve_after_seed(medium, bloch_angle(pulse, medium, pulse.tau_r))
 
 
 def energy_density(t, sol: SuperradianceSolution):
@@ -268,30 +271,28 @@ def emitted_field_envelope(t, sol: SuperradianceSolution):
 
 def integrate_pendulum(
     theta_r: float,
-    tau_r: float,
     medium: TwoLevelMedium,
     t_end: float,
     dt: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-step RK4 integration of d theta/dt = sign(w0) sin(theta)/tau_W.
 
-    Starts from theta(tau_r) = theta_r and returns (t, theta) arrays on a
-    uniform grid that lands exactly on t_end. This deliberately shares no
-    code with the closed forms above. Raises NumericalError, naming the first
+    Starts from the handover, theta(0) = theta_r, and returns (t, theta)
+    arrays on a uniform grid that lands exactly on t_end. This deliberately
+    shares no code with the closed forms above. Raises NumericalError, naming the first
     bad time, on non-finite states.
     """
     if not 0.0 < theta_r < math.pi:
         raise ValueError("theta_r must lie strictly inside (0, pi)")
-    if not t_end > tau_r:
-        raise ValueError("t_end must exceed tau_r")
+    if not t_end > 0.0:
+        raise ValueError("t_end must be positive")
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     # Plain floats throughout: numpy scalars would slow the loop several-fold.
     rate = float(_branch(medium.w0) / characteristic_duration(medium))
 
-    span = t_end - tau_r
-    n = max(1, math.ceil(span / dt - 1e-12))
-    h = span / n
+    n = max(1, math.ceil(t_end / dt - 1e-12))
+    h = t_end / n
     # Classical RK4 with k2 and k3 carried doubled. Scaling by 2 is exact, so
     # rate2 * s == 2 * (rate * s), quarter * (2 k2) == half * k2 and
     # half * (2 k3) == h * k3 hold bit for bit, and the angles equal those of
@@ -314,15 +315,15 @@ def integrate_pendulum(
     out = np.fromiter(theta, float, n + 1)
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
-        raise NumericalError(f"pendulum angle became non-finite at t = {tau_r + bad[0] * h:.6e} s")
-    return np.linspace(tau_r, t_end, n + 1), out
+        raise NumericalError(f"pendulum angle became non-finite at t = {bad[0] * h:.6e} s")
+    return np.linspace(0.0, t_end, n + 1), out
 
 
-def write_profile_csv(path, sol: SuperradianceSolution, t: np.ndarray) -> None:
-    """Write burst profiles on grid t."""
+def write_profile_csv(path, sol: SuperradianceSolution, t: np.ndarray, tau_r: float) -> None:
+    """Write burst profiles on grid t, counted from the handover; t_ps is tau_r + t."""
     t = np.asarray(t, dtype=float)
     header = "t_ps,theta_rad,energy_density_J_m3,power_W_m3,intensity_W_m2,field_V_m"
     write_columns(path, header, finite_columns("profile", header, lambda: [
-        s_to_ps(t), sol.bloch_angle(t), energy_density(t, sol),
+        s_to_ps(tau_r + t), sol.bloch_angle(t), energy_density(t, sol),
         emitted_power_density(t, sol), emitted_intensity(t, sol), emitted_field_envelope(t, sol),
-    ], lambda i: f"t = {t[i].item()!r} s"))
+    ], lambda i: f"t = {(tau_r + t[i]).item()!r} s"))

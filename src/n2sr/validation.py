@@ -58,9 +58,9 @@ MAX_RK4_STEPS = 10**6
 
 # The pendulum oracle's step and how far it runs past each case's burst
 # peak, in that case's tau_W: a case spans (max(sigma_D, 0) + 3) tau_W past
-# tau_r, about 100 steps per tau_W at h and half as many at 2h. The largest
-# error of either run lies at most 1.64 tau_W past max(sigma_D, 0) for start
-# angles from 1e-8 to 3.14 rad on both branches.
+# its handover, about 100 steps per tau_W at h and half as many at 2h. The
+# largest error of either run lies at most 1.64 tau_W past max(sigma_D, 0)
+# for start angles from 1e-8 to 3.14 rad on both branches.
 PENDULUM_STEP_TAU_W = 1e-2
 PENDULUM_TAIL_TAU_W = 3.0
 PENDULUM_ERROR_BOUND = 1e-7  # rad, on the h run
@@ -163,36 +163,37 @@ def _check_bloch(cfg, handover: Sequence[float]) -> tuple[CheckResult, CheckResu
 
 
 def _peak_delay_tau_w(w0: float, theta_r: float) -> float:
-    """sigma_D = (tau_D - tau_r)/tau_W = -sign(w0) ln tan(theta_r/2), the pendulum's
-    delay from the handover to its burst peak (Gross & Haroche 1982)."""
+    """sigma_D = -sign(w0) ln tan(theta_r/2), the pendulum's delay from the
+    handover to its burst peak in units of tau_W (Gross & Haroche 1982)."""
     return -math.copysign(1.0, w0) * math.log(math.tan(0.5 * theta_r))
 
 
-def _pendulum_case(m, theta_r: float, tau_r: float) -> tuple[float, Optional[float]]:
+def _pendulum_case(m, theta_r: float) -> tuple[float, Optional[float]]:
     """e_h and the observed order of one pendulum case, run at 2h and at h.
 
-    The span is max(sigma_D, 0) + PENDULUM_TAIL_TAU_W tau_W, rounded up to
-    whole 2h steps, so both runs step at exactly 2h and h and a longer tail
-    only adds nodes past the shorter one's. A start the floats resolve too
-    coarsely to reach its peak within the bound runs the tail only.
+    The case is handed over at t = 0, and its span is max(sigma_D, 0) +
+    PENDULUM_TAIL_TAU_W tau_W, rounded up to whole 2h steps, so both runs
+    step at exactly 2h and h and a longer tail only adds nodes past the
+    shorter one's. A start the floats resolve too coarsely to reach its
+    peak within the bound runs the tail only.
     """
-    case = solve_after_seed(m, theta_r, tau_r)
+    case = solve_after_seed(m, theta_r)
     dt = PENDULUM_STEP_TAU_W * case.tau_W
     # Two roundings set the floor below which an error is roundoff: theta is
     # rounded by eps * theta each step, which the escape from the unstable end
-    # grows by up to theta_r / sin(theta_r); and t and tau_D are rounded by
-    # eps * t, which is eps * t / tau_W in units of the burst. A start whose
-    # first term alone exceeds the bound (theta_r near pi on the absorbing
-    # branch) would miss it at the peak: from theta_strong_over_pi = 1 - 1e-9
-    # on, that case read 4e-7 rad or more there.
+    # grows by up to theta_r / sin(theta_r); and t, counted from the handover,
+    # and tau_D are rounded by eps * t, which is eps * t / tau_W in units of
+    # the burst. A start whose first term alone exceeds the bound (theta_r
+    # near pi on the absorbing branch) would miss it at the peak: from
+    # theta_strong_over_pi = 1 - 1e-9 on, that case read 4e-7 rad or more.
     roundoff, conditioning = 30.0 * sys.float_info.epsilon, theta_r / math.sin(theta_r)
     delay = _peak_delay_tau_w(m.w0, theta_r) if roundoff * conditioning <= PENDULUM_ERROR_BOUND else 0.0
     span_tau_w = max(delay, 0.0) + PENDULUM_TAIL_TAU_W
     coarse_steps = math.ceil(span_tau_w / (2.0 * PENDULUM_STEP_TAU_W))
-    t_end = tau_r + coarse_steps * 2.0 * dt
+    t_end = coarse_steps * 2.0 * dt
     errors, counts = [], []
     for h in (2.0 * dt, dt):
-        t, theta = integrate_pendulum(theta_r, tau_r, m, t_end, h)
+        t, theta = integrate_pendulum(theta_r, m, t_end, h)
         counts.append(len(t) - 1)
         errors.append(float(np.max(np.abs(theta - case.bloch_angle(t)))))
     scale = conditioning + (t_end + abs(case.tau_D)) / case.tau_W
@@ -203,18 +204,18 @@ def _pendulum_case(m, theta_r: float, tau_r: float) -> tuple[float, Optional[flo
 def _check_pendulum(cfg, sol: SuperradianceSolution) -> CheckResult:
     """RK4 against the closed form at h = PENDULUM_STEP_TAU_W tau_W and at 2h.
 
-    Each case runs from tau_r to PENDULUM_TAIL_TAU_W tau_W past its burst
-    peak, or past tau_r when the peak precedes it. sigma_D comes from the
-    case's own theta_r and branch, so a defect in tau_D cannot move the
-    window it is read on. The 2h run costs half the h run and gives the
-    order by step doubling (Richardson's estimate). Its error is about 16
-    times e_h, so only the h run is bounded: the check passes when the
-    worst h-run error is at most PENDULUM_ERROR_BOUND and every resolved
-    order is within ORDER_TOLERANCE of 4.
+    Each case runs from its handover to PENDULUM_TAIL_TAU_W tau_W past its
+    burst peak, or past the handover when the peak precedes it. sigma_D
+    comes from the case's own theta_r and branch, so a defect in tau_D
+    cannot move the window it is read on. The 2h run costs half the h run
+    and gives the order by step doubling (Richardson's estimate). Its error
+    is about 16 times e_h, so only the h run is bounded: the check passes
+    when the worst h-run error is at most PENDULUM_ERROR_BOUND and every
+    resolved order is within ORDER_TOLERANCE of 4.
     """
-    medium, tau_r = sol.medium, sol.tau_r
+    medium = sol.medium
     theta_strong = cfg.theta_strong_over_pi * math.pi
-    errors, orders = zip(*(_pendulum_case(m, theta_r, tau_r) for m, theta_r in (
+    errors, orders = zip(*(_pendulum_case(m, theta_r) for m, theta_r in (
         (medium, sol.theta_r),
         (medium, 0.3 * math.pi),
         (medium, theta_strong),
@@ -313,7 +314,8 @@ def _check_dephasing(cfg, scan, sol: SuperradianceSolution) -> CheckResult:
 
     Both hold for every valid config; the published 207 ps at 20 mbar is a
     property of the default config and is pinned by the acceptance tests.
-    The margin at the anchor pressure must still clear the threshold.
+    The margin at the anchor pressure, read at the burst peak in pump time
+    tau_r + max(tau_D, 0), must still clear the threshold.
     """
     params = cfgmod.dephasing_parameters(cfg)
     p = np.asarray(DEFAULT_SCAN_PRESSURES)
@@ -323,8 +325,9 @@ def _check_dephasing(cfg, scan, sol: SuperradianceSolution) -> CheckResult:
     column = np.array_equal(scan.dephasing, tau_2)
 
     cal = cfgmod.calibration(cfg)
+    tau_peak = cfgmod.seed_pulse(cfg).tau_r + max(sol.tau_D, 0.0)
     check = superradiance_valid(
-        dephasing_time(cal.anchor_p, params), sol.tau_W, sol.tau_D, threshold=cfg.validity_threshold
+        dephasing_time(cal.anchor_p, params), sol.tau_W, tau_peak, threshold=cfg.validity_threshold
     )
     ok = inverse_p and column and check.valid
     return CheckResult(
@@ -340,21 +343,15 @@ def run_validation_checks(cfg) -> list[CheckResult]:
     sol = cfgmod.reference_solution(cfg)
     scan = cfgmod.scan_pressures(cfg, DEFAULT_SCAN_PRESSURES)
     conservation, closed_form = _check_bloch(cfg, (sol.theta_r, scan.theta_r))
-    # The burst checks read the same burst handed over at t = 0: after tau_r
-    # it depends on t only through (t - tau_D)/tau_W, and times within a few
-    # tau_W of 0 keep that resolved however short tau_W is next to tau_r.
-    # The calibration and the dephasing margin keep sol: the margin counts
-    # tau_D from the pump.
-    own = solve_after_seed(sol.medium, sol.theta_r, 0.0)
     return [
         _check_constants_product(),
         _check_seed_roundtrip(cfg),
         conservation,
         closed_form,
-        _check_pendulum(cfg, own),
-        _check_intensity_field(own),
-        _check_energy_bookkeeping(own),
-        _check_width_rule(own),
+        _check_pendulum(cfg, sol),
+        _check_intensity_field(sol),
+        _check_energy_bookkeeping(sol),
+        _check_width_rule(sol),
         _check_calibration_roundtrip(cfg, sol),
         _check_scan_scaling(cfg, scan),
         _check_dephasing(cfg, scan, sol),

@@ -70,15 +70,13 @@ def test_criterion_02_seed_integration_oracle(capsys, seed, template):
     )
 
 
-def test_criterion_03_pendulum_oracle(capsys, seed, anchor_medium):
+def test_criterion_03_pendulum_oracle(capsys, anchor_medium):
     start = time.perf_counter()
     tau_w = characteristic_duration(anchor_medium)
     worst = 0.0
     for theta_r in (0.057 * math.pi, 0.3 * math.pi, 0.6 * math.pi):
-        sol = solve_after_seed(anchor_medium, theta_r, seed.tau_r)
-        t, theta = integrate_pendulum(
-            theta_r, seed.tau_r, anchor_medium, seed.tau_r + 10.0 * tau_w, dt=1e-3 * tau_w
-        )
+        sol = solve_after_seed(anchor_medium, theta_r)
+        t, theta = integrate_pendulum(theta_r, anchor_medium, 10.0 * tau_w, dt=1e-3 * tau_w)
         worst = max(worst, float(np.abs(theta - sol.bloch_angle(t)).max()))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-7 and elapsed < 1.0
@@ -87,8 +85,8 @@ def test_criterion_03_pendulum_oracle(capsys, seed, anchor_medium):
     )
 
 
-def test_criterion_04_energy_bookkeeping(capsys, seed, anchor_medium):
-    sol = solve_after_seed(anchor_medium, 0.17392466546264773, seed.tau_r)
+def test_criterion_04_energy_bookkeeping(capsys, anchor_medium):
+    sol = solve_after_seed(anchor_medium, 0.17392466546264773)
     t = np.linspace(sol.tau_D - 20.0 * sol.tau_W, sol.tau_D + 20.0 * sol.tau_W, 20001)
     p = emitted_power_density(t, sol)
     h = t[1] - t[0]
@@ -107,8 +105,8 @@ def test_criterion_04_energy_bookkeeping(capsys, seed, anchor_medium):
     )
 
 
-def test_criterion_05_sech2_width_rule(capsys, seed, anchor_medium):
-    sol = solve_after_seed(anchor_medium, 0.17392466546264773, seed.tau_r)
+def test_criterion_05_sech2_width_rule(capsys, anchor_medium):
+    sol = solve_after_seed(anchor_medium, 0.17392466546264773)
     t = np.linspace(sol.tau_D - 6.0 * sol.tau_W, sol.tau_D + 6.0 * sol.tau_W, 12001)
     trace = TemporalTrace(t=t, intensity=np.asarray(emitted_intensity(t, sol)))
     ratio = extract_fwhm(trace) / sol.tau_W
@@ -221,7 +219,7 @@ def test_criterion_09_fit_recovery(capsys):
     )
 
 
-def test_criterion_10_regime_behaviour(capsys, seed, anchor_medium):
+def test_criterion_10_regime_behaviour(capsys, anchor_medium):
     import dataclasses
 
     flipped = dataclasses.replace(anchor_medium, w0=-anchor_medium.w0)
@@ -229,17 +227,17 @@ def test_criterion_10_regime_behaviour(capsys, seed, anchor_medium):
 
     peak_ok = True
     for medium, theta_r in ((anchor_medium, weak), (flipped, strong)):
-        sol = solve_after_seed(medium, theta_r, seed.tau_r)
+        sol = solve_after_seed(medium, theta_r)
         peak = emitted_power_density(sol.tau_D, sol)
         peak_ok &= abs(peak / sol.P0 - 1.0) <= 1e-9
-        t = np.linspace(sol.tau_r, sol.tau_D + 10.0 * sol.tau_W, 8001)
+        t = np.linspace(0.0, sol.tau_D + 10.0 * sol.tau_W, 8001)
         p = emitted_power_density(t, sol)
         peak_ok &= abs(float(t[np.argmax(p)]) - sol.tau_D) <= float(t[1] - t[0])
 
     decline_ok = True
     for medium, theta_r in ((anchor_medium, strong), (flipped, weak)):
-        sol = solve_after_seed(medium, theta_r, seed.tau_r)
-        t = np.linspace(sol.tau_r, sol.tau_r + 10.0 * sol.tau_W, 4001)
+        sol = solve_after_seed(medium, theta_r)
+        t = np.linspace(0.0, 10.0 * sol.tau_W, 4001)
         p = emitted_power_density(t, sol)
         decline_ok &= bool(np.all(np.diff(p) < 0.0))
 

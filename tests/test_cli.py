@@ -16,6 +16,7 @@ from n2sr import cli, config, constants
 from n2sr.bloch import bloch_angle, integrate_bloch_rwa
 from n2sr.cli import _parse_pressures, main
 from n2sr.constants import ps_to_s, s_to_ps
+from n2sr.pressure import dephasing_time
 from n2sr.profiles import synthesize_sech2_trace, write_trace_csv
 
 
@@ -214,6 +215,17 @@ class TestRegimes:
             for column in ("t_rel_tau_W", "theta_rad", "w", "P_over_P0"):
                 np.testing.assert_allclose(floats(short, column), floats(default, column), rtol=0.0, atol=1e-12)
 
+    def test_short_burst_profile_is_resolved(self, tmp_path, capsys):
+        """profile.csv evaluates the burst at times counted from its handover, so at
+        tau_W = 1e-32 s its theta_rad is the default's and takes 2001 distinct values."""
+        for name, args in (("default", []), ("short", ["--set", "anchor_tau_w_ps=1e-20"])):
+            assert main(["regimes", *args, "--out", str(tmp_path / name)]) == 0
+        capsys.readouterr()
+        default, short = (read_csv(tmp_path / name / "profile.csv") for name in ("default", "short"))
+        theta = floats(short, "theta_rad")
+        np.testing.assert_allclose(theta, floats(default, "theta_rad"), rtol=0.0, atol=1e-12)
+        assert len(set(theta)) == len(theta) == 2001
+
     def test_too_strong_seed_rejected(self, tmp_path):
         code = main(
             [
@@ -255,13 +267,21 @@ class TestPressureScan:
         assert f"pressure '{token}' must be finite" in err
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("pressures, named", [("6,8", "6.0"), ("100,7,6", "7.0")])
-    def test_absorbing_medium_names_the_pressure(self, tmp_path, capsys, pressures, named):
+    @pytest.mark.parametrize("pressures", ["6,8", "100,7,6"])
+    def test_absorbing_medium_reads_the_margin_at_the_handover(self, tmp_path, capsys, pressures):
+        """On w0 < 0 a weak seed's burst would peak before tau_r (tau_D between 0 and
+        tau_r at 100 mbar, below 0 from 6 to 8 mbar), so it peaks at the handover:
+        every row's margin is tau_2/sqrt(tau_W tau_r)."""
         args = ["pressure-scan", "--set", "w0=-0.1", "--pressures", pressures]
-        assert main([*args, "--out", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: tau_D = ") and f"at p = {named} mbar" in err
-        assert "w0 < 0" in err and err.count("\n") == 1
+        assert main([*args, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        cols = read_csv(tmp_path / "pressure_scan.csv")
+        tau_w, tau_d, tau_2, margin = (
+            np.array(floats(cols, k)) for k in ("tau_W_ps", "tau_D_ps", "dephasing_ps", "validity_margin")
+        )
+        tau_r = s_to_ps(config.seed_pulse(config.RunConfig()).tau_r)
+        assert np.all(tau_d < tau_r)
+        np.testing.assert_allclose(margin, tau_2 / np.sqrt(tau_w * tau_r), rtol=1e-12)
 
     def test_stdout_rows_match_scan(self, tmp_path, capsys):
         assert main(["pressure-scan", "--pressures", "6,8,40", "--set", "sigma_cm2=1e-13",
@@ -470,10 +490,19 @@ class TestValidate:
         assert line.startswith("PASS") and len(orders) == 4
         assert all(abs(float(order) - 4.0) <= 0.05 for order in orders), line
 
-    def test_absorbing_medium_exits_1(self, tmp_path, capsys):
-        assert main(["validate", "--set", "w0=-0.1", "--out", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert "at p = 6.0 mbar" in err and err.count("\n") == 1
+    def test_absorbing_medium_passes_every_check(self, tmp_path, capsys):
+        """On w0 < 0 the reference burst would peak before tau_r, so it peaks at the
+        handover and the anchor margin is tau_2/sqrt(tau_W tau_r): all eleven pass."""
+        assert main(["validate", "--set", "w0=-0.1", "--out", str(tmp_path)]) == 0
+        out, err = capsys.readouterr()
+        report = out.splitlines()[:-1]
+        assert err == "" and len(report) == 11 and all(line.startswith("PASS") for line in report)
+        cfg = config.load_config(overrides=["w0=-0.1"])
+        sol = config.reference_solution(cfg)
+        assert sol.tau_D < 0.0
+        tau_2 = dephasing_time(cfg.anchor_p_mbar, config.dephasing_parameters(cfg))
+        margin = tau_2 / math.sqrt(sol.tau_W * config.seed_pulse(cfg).tau_r)
+        assert f"anchor margin = {margin:.1f}\n" in out
 
     def test_unknown_corrupt_name_exits_1(self, tmp_path, capsys):
         """validate has no --corrupt option: argparse rejects any name with one line."""
@@ -619,7 +648,7 @@ class TestInversionDensity:
             if "pressure_scan.csv" in files:
                 n, n_j = (floats(parse_csv(f["pressure_scan.csv"]), "N_per_cm3") for f in (files, files_j))
                 assert [b / a for a, b in zip(n, n_j)] == [2.0**j] * len(n)
-        assert base["pressure-scan"][0] == (0 if sign > 0 else 1)
+        assert base["pressure-scan"][0] == 0
 
     @pytest.mark.parametrize("w0", [0.1 * 2.0**-952, 1e-300, -1e-300, 5e-324])
     def test_overflowing_density_is_named(self, tmp_path, capsys, w0):

@@ -24,6 +24,7 @@ from n2sr.config import (
 from n2sr.bloch import bloch_angle
 from n2sr.constants import ps_to_s, um_to_m
 from n2sr.pressure import pressure_scan
+from n2sr.superradiance import time_delay
 
 
 def test_defaults_are_valid():
@@ -220,10 +221,12 @@ def test_out_of_range_arithmetic_is_a_config_error():
 
 
 def test_reference_solution_is_the_anchor_burst(cfg, seed, anchor_medium):
+    """The burst counts time from its handover: tau_D is the delay after tau_r."""
     sol = reference_solution(cfg)
     assert sol.medium == anchor_medium
-    assert sol.tau_r == seed.tau_r
+    assert not hasattr(sol, "tau_r")
     assert sol.theta_r == bloch_angle(seed, anchor_medium, seed.tau_r)
+    assert sol.tau_D == time_delay(anchor_medium, sol.theta_r, 0.0)
     assert sol.tau_W == pytest.approx(ps_to_s(cfg.anchor_tau_w_ps), rel=1e-12)
 
 

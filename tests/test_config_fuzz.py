@@ -110,6 +110,7 @@ def run(command: str, overrides: dict, *extra: str) -> tuple[int, str, list[str]
 @example({"anchor_tau_w_ps": 1e-12})
 @example({"anchor_tau_w_ps": 1e-15})
 @example({"anchor_tau_w_ps": 1e-20})
+@example({"w0": -0.1})
 def test_every_command_exits_with_a_documented_code(overrides):
     for command in COMMANDS:
         code, err, caught = run(command, overrides)

@@ -128,15 +128,15 @@ def test_bloch_trajectory(tmp_path, seed, template, dt):
 
 
 def test_profile(tmp_path, anchor_medium, seed, cfg):
-    sol = solve_after_seed(anchor_medium, 0.17392466546264773, seed.tau_r)
+    sol = solve_after_seed(anchor_medium, 0.17392466546264773)
     path = tmp_path / "profile.csv"
     t = sol.time_grid(cfg.window_tau_w, cfg.profile_points)
-    write_profile_csv(path, sol, t)
+    write_profile_csv(path, sol, t, seed.tau_r)
     theta, e = sol.bloch_angle(t), energy_density(t, sol)
     p, i_s = emitted_power_density(t, sol), emitted_intensity(t, sol)
     f = emitted_field_envelope(t, sol)
     expected = "t_ps,theta_rad,energy_density_J_m3,power_W_m3,intensity_W_m2,field_V_m\n" + "".join(
-        f"{s_to_ps(float(t[j]))!r},{float(theta[j])!r},{float(e[j])!r},"
+        f"{s_to_ps(seed.tau_r + float(t[j]))!r},{float(theta[j])!r},{float(e[j])!r},"
         f"{float(p[j])!r},{float(i_s[j])!r},{float(f[j])!r}\n"
         for j in range(len(t))
     )

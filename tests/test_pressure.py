@@ -301,7 +301,7 @@ class TestColumnarScan:
             tau_w = characteristic_duration(m)
             tau_d = time_delay(m, scan.theta_r, seed.tau_r)
             tau_2 = dephasing_time(p, dephasing)
-            check = superradiance_valid(tau_2, tau_w, tau_d, cfg.validity_threshold)
+            check = superradiance_valid(tau_2, tau_w, max(tau_d, seed.tau_r), cfg.validity_threshold)
             e_total = total_emitted_energy(m, scan.theta_r, 50e-6)
             assert (scan.p_mbar[i], scan.N[i], scan.tau_W[i], scan.tau_D[i]) == (p, m.N, tau_w, tau_d)
             assert scan.E_total[i] == e_total
@@ -345,21 +345,26 @@ class TestColumnarScan:
         assert type(characteristic_duration(anchor_medium)) is float
         assert type(dephasing_time(8.0, dephasing)) is float
 
-    def test_non_positive_delay_names_the_pressure(self, cfg):
-        tau_d = np.array([4e-12, -1e-12, -2e-12])
-        with pytest.raises(ValueError, match=r"tau_D = -1 ps at p = 7.5 mbar") as err:
-            superradiance_valid(
-                np.full(3, 1e-10), np.full(3, 1e-12), tau_d, cfg.validity_threshold,
-                p_mbar=np.array([6.0, 7.5, 9.0]),
-            )
-        assert "w0 < 0" in str(err.value) and "\n" not in str(err.value)
-        with pytest.raises(ValueError, match="undefined where tau_D <= 0"):
-            superradiance_valid(1e-10, 1e-12, 0.0, cfg.validity_threshold)
+    def test_margin_reads_the_peak_time(self, cfg):
+        """The margin is tau_2/sqrt(tau_W tau_peak); a peak time that is not positive
+        is rejected like the other time scales."""
+        tau_peak = np.array([4e-12, 1e-12, 2e-12])
+        check = superradiance_valid(np.full(3, 1e-10), np.full(3, 1e-12), tau_peak, cfg.validity_threshold)
+        assert check.margin.tolist() == (1e-10 / np.sqrt(1e-12 * tau_peak)).tolist()
+        for bad in (0.0, -1e-12):
+            with pytest.raises(ValueError, match="all time scales must be positive"):
+                superradiance_valid(1e-10, 1e-12, bad, cfg.validity_threshold)
 
-    def test_absorbing_scan_rejected(self, cal, seed, template, dephasing):
+    def test_absorbing_scan_reads_the_margin_at_the_handover(self, cal, seed, template, dephasing):
+        """On w0 < 0 a weak seed's burst would peak before tau_r, at 100 mbar after the
+        pump and at 6 and 8 mbar before it, so each peaks at the handover: the margin
+        is tau_2/sqrt(tau_W tau_r), and tau_D keeps its closed form."""
         absorbing = dataclasses.replace(template, w0=-template.w0)
-        with pytest.raises(ValueError, match=r"at p = 6.0 mbar"):
-            pressure_scan(cal, seed, absorbing, [100.0, 6.0, 8.0], dephasing)
+        scan = pressure_scan(cal, seed, absorbing, [100.0, 6.0, 8.0], dephasing)
+        assert 0.0 < scan.tau_D[0] < seed.tau_r and np.all(scan.tau_D[1:] < 0.0)
+        m = medium_at_pressure(cal, absorbing, scan.p_mbar)
+        assert scan.tau_D.tolist() == time_delay(m, scan.theta_r, seed.tau_r).tolist()
+        assert scan.validity_margin.tolist() == (scan.dephasing / np.sqrt(scan.tau_W * seed.tau_r)).tolist()
 
     def test_density_from_pressure_array(self, cal):
         p = np.array([3.0, 8.0])

@@ -41,7 +41,7 @@ P0_8 = 66152394210410.35
 
 @pytest.fixture(scope="module")
 def sol8(anchor_medium):
-    return solve_after_seed(anchor_medium, THETA_R, TAU_R)
+    return solve_after_seed(anchor_medium, THETA_R)
 
 
 class TestTimescales:
@@ -156,8 +156,8 @@ class TestRegimes:
         for w0 in (anchor_medium.w0, -anchor_medium.w0):
             medium = dataclasses.replace(anchor_medium, w0=w0)
             for theta_r in (0.057 * math.pi, 0.6 * math.pi):
-                sol = solve_after_seed(medium, theta_r, TAU_R)
-                assert (sol.tau_D > sol.tau_r) == (sol.regime in delayed)
+                sol = solve_after_seed(medium, theta_r)
+                assert (sol.tau_D > 0.0) == (sol.regime in delayed)
 
 
 class TestBlochAngleClosedForm:
@@ -194,13 +194,13 @@ class TestSolution:
     def test_anchor_solution(self, sol8, anchor_medium):
         assert sol8.regime is Regime.INVERTED_WEAK_SEED
         assert sol8.tau_W == pytest.approx(1.666e-12, rel=1e-12)
-        assert sol8.tau_D == pytest.approx(TAU_D8, rel=1e-12)
+        assert TAU_R + sol8.tau_D == pytest.approx(TAU_D8, rel=1e-12)
         assert sol8.P0 == pytest.approx(P0_8, rel=1e-12)
 
     def test_solve_from_seed_matches_two_stage(self, seed, anchor_medium):
         sol = solve_from_seed(seed, anchor_medium)
         assert sol.theta_r == pytest.approx(THETA_R, rel=1e-14)
-        assert sol.tau_D == pytest.approx(TAU_D8, rel=1e-12)
+        assert TAU_R + sol.tau_D == pytest.approx(TAU_D8, rel=1e-12)
 
     def test_peak_power_and_intensity(self, anchor_medium):
         m = anchor_medium
@@ -225,7 +225,7 @@ class TestSolution:
 
     def test_population_difference_negative_branch(self, anchor_medium):
         flipped = dataclasses.replace(anchor_medium, w0=-anchor_medium.w0)
-        sol = solve_after_seed(flipped, 0.7 * math.pi, TAU_R)
+        sol = solve_after_seed(flipped, 0.7 * math.pi)
         assert sol.regime is Regime.ABSORBING_STRONG_SEED
         t = sol.time_grid(window_tau_w=10.0, n=101)
         got = sol.population_difference(t)
@@ -237,7 +237,7 @@ class TestSolution:
         """P0 ~ N^2 L underflowing to 0 or overflowing to inf is a NumericalError."""
         m = dataclasses.replace(anchor_medium, N=scale_n * anchor_medium.N, L=scale_l * anchor_medium.L)
         with pytest.raises(NumericalError, match="burst peak P0 = "):
-            solve_after_seed(m, THETA_R, TAU_R)
+            solve_after_seed(m, THETA_R)
 
 
 class TestEmission:
@@ -297,9 +297,9 @@ class TestEmission:
             (anchor_medium, 0.057 * math.pi),
             (dataclasses.replace(anchor_medium, w0=-anchor_medium.w0), 0.6 * math.pi),
         ):
-            sol = solve_after_seed(medium, theta_r, TAU_R)
-            assert sol.tau_D > sol.tau_r
-            t = np.linspace(sol.tau_r, sol.tau_D + 10.0 * sol.tau_W, 4001)
+            sol = solve_after_seed(medium, theta_r)
+            assert sol.tau_D > 0.0
+            t = np.linspace(0.0, sol.tau_D + 10.0 * sol.tau_W, 4001)
             p = emitted_power_density(t, sol)
             assert float(p.max()) <= sol.P0
             assert emitted_power_density(sol.tau_D, sol) == sol.P0
@@ -309,9 +309,9 @@ class TestEmission:
             (anchor_medium, 0.6 * math.pi),
             (dataclasses.replace(anchor_medium, w0=-anchor_medium.w0), 0.057 * math.pi),
         ):
-            sol = solve_after_seed(medium, theta_r, TAU_R)
-            assert sol.tau_D < sol.tau_r
-            t = np.linspace(sol.tau_r, sol.tau_r + 10.0 * sol.tau_W, 2001)
+            sol = solve_after_seed(medium, theta_r)
+            assert sol.tau_D < 0.0
+            t = np.linspace(0.0, 10.0 * sol.tau_W, 2001)
             p = emitted_power_density(t, sol)
             assert int(np.argmax(p)) == 0
             assert np.all(np.diff(p) < 0.0)
@@ -320,19 +320,17 @@ class TestEmission:
 class TestPendulum:
     @pytest.mark.parametrize("theta_r", [0.057 * math.pi, 0.3 * math.pi, 0.6 * math.pi])
     def test_matches_closed_form(self, anchor_medium, theta_r):
-        sol = solve_after_seed(anchor_medium, theta_r, TAU_R)
+        sol = solve_after_seed(anchor_medium, theta_r)
         tau_w = sol.tau_W
-        t, theta = integrate_pendulum(
-            theta_r, TAU_R, anchor_medium, TAU_R + 10.0 * tau_w, dt=1e-3 * tau_w
-        )
+        t, theta = integrate_pendulum(theta_r, anchor_medium, 10.0 * tau_w, dt=1e-3 * tau_w)
         assert np.abs(theta - sol.bloch_angle(t)).max() <= 1e-7
 
     def test_crosses_quarter_turn_at_tau_d(self, anchor_medium):
         """The integrated angle passes pi/2 within one step of time_delay."""
         tau_w = characteristic_duration(anchor_medium)
         dt = 1e-3 * tau_w
-        tau_d = time_delay(anchor_medium, THETA_R, TAU_R)
-        t, theta = integrate_pendulum(THETA_R, TAU_R, anchor_medium, TAU_R + 10.0 * tau_w, dt)
+        tau_d = time_delay(anchor_medium, THETA_R, 0.0)
+        t, theta = integrate_pendulum(THETA_R, anchor_medium, 10.0 * tau_w, dt)
         idx = int(np.searchsorted(theta, 0.5 * math.pi))
         assert abs(t[idx] - tau_d) <= 2.0 * dt
 
@@ -340,28 +338,24 @@ class TestPendulum:
         """With w0 < 0 and a weak seed the angle relaxes monotonically to 0."""
         flipped = dataclasses.replace(anchor_medium, w0=-anchor_medium.w0)
         tau_w = characteristic_duration(flipped)
-        t, theta = integrate_pendulum(
-            0.3 * math.pi, TAU_R, flipped, TAU_R + 10.0 * tau_w, dt=1e-3 * tau_w
-        )
+        t, theta = integrate_pendulum(0.3 * math.pi, flipped, 10.0 * tau_w, dt=1e-3 * tau_w)
         assert np.all(np.diff(theta) < 0.0)
         assert theta[-1] == pytest.approx(0.0, abs=1e-4)
 
     def test_negative_branch_closed_form(self, anchor_medium):
         flipped = dataclasses.replace(anchor_medium, w0=-anchor_medium.w0)
-        sol = solve_after_seed(flipped, 0.7 * math.pi, TAU_R)
-        t, theta = integrate_pendulum(
-            0.7 * math.pi, TAU_R, flipped, TAU_R + 10.0 * sol.tau_W, dt=1e-3 * sol.tau_W
-        )
+        sol = solve_after_seed(flipped, 0.7 * math.pi)
+        t, theta = integrate_pendulum(0.7 * math.pi, flipped, 10.0 * sol.tau_W, dt=1e-3 * sol.tau_W)
         assert np.abs(theta - sol.bloch_angle(t)).max() <= 1e-7
 
     @pytest.mark.parametrize("theta_r", [0.057 * math.pi, 0.3 * math.pi, 0.6 * math.pi])
     def test_fourth_order_convergence(self, anchor_medium, theta_r):
         """Halving the step shrinks the worst error against the closed form ~16x."""
-        sol = solve_after_seed(anchor_medium, theta_r, TAU_R)
+        sol = solve_after_seed(anchor_medium, theta_r)
         span = 10.0 * sol.tau_W
 
         def err(n):
-            t, theta = integrate_pendulum(theta_r, TAU_R, anchor_medium, TAU_R + span, span / n)
+            t, theta = integrate_pendulum(theta_r, anchor_medium, span, span / n)
             return np.abs(theta - sol.bloch_angle(t)).max()
 
         e40, e80, e160 = err(40), err(80), err(160)
@@ -376,10 +370,10 @@ class TestPendulum:
         medium = dataclasses.replace(anchor_medium, w0=w0_sign * anchor_medium.w0)
         tau_w = characteristic_duration(medium)
         n = 500
-        t, theta = integrate_pendulum(theta_r, TAU_R, medium, TAU_R + 10.0 * tau_w, 10.0 * tau_w / n)
+        t, theta = integrate_pendulum(theta_r, medium, 10.0 * tau_w, 10.0 * tau_w / n)
         assert len(theta) == n + 1
         rate = w0_sign / tau_w
-        h = (TAU_R + 10.0 * tau_w - TAU_R) / n
+        h = 10.0 * tau_w / n
         th = theta_r
         expected = [th]
         for _ in range(n):
@@ -395,16 +389,16 @@ class TestPendulum:
         """A step so long the angle overflows ends in NumericalError, not ValueError."""
         h = 1e299
         with pytest.raises(NumericalError) as info:
-            integrate_pendulum(0.3 * math.pi, TAU_R, anchor_medium, TAU_R + 10.0 * h, h)
-        assert f"t = {TAU_R + h:.6e} s" in str(info.value)
+            integrate_pendulum(0.3 * math.pi, anchor_medium, 10.0 * h, h)
+        assert f"t = {h:.6e} s" in str(info.value)
 
 
 def test_profile_csv(tmp_path, sol8, cfg):
     path = tmp_path / "profile.csv"
-    write_profile_csv(path, sol8, sol8.time_grid(cfg.window_tau_w, cfg.profile_points))
+    write_profile_csv(path, sol8, sol8.time_grid(cfg.window_tau_w, cfg.profile_points), TAU_R)
     lines = path.read_text().splitlines()
     assert lines[0] == "t_ps,theta_rad,energy_density_J_m3,power_W_m3,intensity_W_m2,field_V_m"
     assert len(lines) == 2002  # the configured grid plus header
     mid = lines[1001].split(",")
-    assert float(mid[0]) == pytest.approx(s_to_ps(sol8.tau_D), rel=1e-12)
+    assert float(mid[0]) == pytest.approx(s_to_ps(TAU_R + sol8.tau_D), rel=1e-12)
     assert float(mid[3]) == pytest.approx(sol8.P0, rel=1e-12)

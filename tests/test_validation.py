@@ -100,8 +100,8 @@ def with_u(integrate):
 
 
 def third_order_pendulum(integrate):
-    def run(theta_r, tau_r, medium, t_end, dt):
-        t, theta = integrate(theta_r, tau_r, medium, t_end, dt)
+    def run(theta_r, medium, t_end, dt):
+        t, theta = integrate(theta_r, medium, t_end, dt)
         return t, theta + 1e-3 * (dt / characteristic_duration(medium)) ** 3
     return run
 
@@ -276,8 +276,8 @@ class TestPendulumOrder:
         integrate = validation.integrate_pendulum
         runs = []
 
-        def spy(theta_r, tau_r, medium, t_end, dt):
-            t, theta = integrate(theta_r, tau_r, medium, t_end, dt)
+        def spy(theta_r, medium, t_end, dt):
+            t, theta = integrate(theta_r, medium, t_end, dt)
             runs.append((theta_r, medium, dt, t, theta))
             return t, theta
 
@@ -293,7 +293,7 @@ class TestPendulumOrder:
             n = math.ceil((max(sigma_d, 0.0) + 3.0) / 0.02)
             assert (len(coarse[3]) - 1, len(t) - 1) == (n, 2 * n)
             expected += 3 * n
-            case = solve_after_seed(medium, theta_r, sol.tau_r)
+            case = solve_after_seed(medium, theta_r)
             h_errors.append(float(np.max(np.abs(theta - case.bloch_angle(t)))))
         error, _ = error_and_orders(result.detail)
         assert result.passed
@@ -320,8 +320,8 @@ class TestPendulumOrder:
         """An h^3 defect below 1e-7 passes the error bound; only the order gate sees it."""
         integrate = validation.integrate_pendulum
 
-        def third_order(theta_r, tau_r, medium, t_end, dt):
-            t, theta = integrate(theta_r, tau_r, medium, t_end, dt)
+        def third_order(theta_r, medium, t_end, dt):
+            t, theta = integrate(theta_r, medium, t_end, dt)
             h = dt / characteristic_duration(medium)
             return t, theta + 1e-2 * h**3 * np.sin(theta)
 
@@ -345,8 +345,6 @@ class TestPendulumOrder:
         [
             # theta_r near pi with w0 < 0: the escape amplifies each rounding.
             {"theta_strong_over_pi": 0.99999},
-            # tau_r / tau_W ~ 4e4: t and tau_D are rounded on the scale of tau_r.
-            NARROW_BURST,
         ],
     )
     def test_ill_conditioned_cases_raise_the_floor(self, cfg, overrides):
@@ -355,6 +353,15 @@ class TestPendulumOrder:
         result = validation._check_pendulum(run, config.reference_solution(run))
         assert result.passed, result.detail
         assert "unresolved" in result.detail
+
+    def test_narrow_burst_orders_are_resolved(self, cfg):
+        """At tau_r / tau_W ~ 4e4 each case still counts t from its handover, so t and
+        tau_D are rounded on the scale of tau_W, not tau_r: every order reads 4."""
+        run = dataclasses.replace(cfg, **NARROW_BURST)
+        result = validation._check_pendulum(run, config.reference_solution(run))
+        _, orders = error_and_orders(result.detail)
+        assert result.passed, result.detail
+        assert len(orders) == 4 and all(abs(float(order) - 4.0) <= 0.05 for order in orders), orders
 
     @pytest.mark.parametrize("theta_strong_over_pi", [1.0 - 1e-9, 0.9999999999999999])
     def test_start_the_floats_cannot_resolve_runs_the_tail_only(self, cfg, theta_strong_over_pi):
@@ -386,7 +393,7 @@ def pendulum_reading(cfg, monkeypatch, tail, w0_sign, theta_r):
     monkeypatch.setattr(validation, "PENDULUM_TAIL_TAU_W", tail)
     sol = config.reference_solution(cfg)
     medium = dataclasses.replace(sol.medium, w0=w0_sign * abs(sol.medium.w0))
-    error, order = validation._pendulum_case(medium, theta_r, sol.tau_r)
+    error, order = validation._pendulum_case(medium, theta_r)
     if order is None:
         return error < validation.ORDER_RESOLVED_ERROR, "unresolved"
     return f"{error:.3e}", validation._order_text(order)
