@@ -3,10 +3,12 @@
     python scripts/golden_outputs.py OUTDIR
 
 Each run writes into its own subdirectory of OUTDIR: seed-phase, regimes,
-validate, pressure-scan over the default pressures, over a second list and on
-the absorbing branch (w0 = -0.1), fit over five synthetic traces, and fit over one trace the fitter stops on
-without converging, so the gate also runs its rejected-step path (the traces
-are written first, under OUTDIR/traces). Then one line per file is printed,
+validate, pressure-scan over the default pressures, over a second list, on
+the absorbing branch (w0 = -0.1) and for bursts far shorter than the seed
+stage (anchor tau_W = 1e-20 ps, where the pump-time columns tau_r + tau_D
+must still round as before), fit over five synthetic traces, and fit over one
+trace the fitter stops on without converging, so the gate also runs its
+rejected-step path (the traces are written first, under OUTDIR/traces). Then one line per file is printed,
 sorted by path:
 
     sha256  rows  file
@@ -75,6 +77,7 @@ def run_all(outdir: Path) -> None:
         "pressure-scan": ["pressure-scan"],
         "pressure-scan-list": ["pressure-scan", "--pressures", SECOND_PRESSURES],
         "pressure-scan-absorbing": ["pressure-scan", "--set", "w0=-0.1"],
+        "pressure-scan-short-burst": ["pressure-scan", "--set", "anchor_tau_w_ps=1e-20"],
         "fit": ["fit", *traces],
         "fit-stuck": ["fit", stuck],
     }

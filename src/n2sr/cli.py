@@ -195,8 +195,8 @@ def _parse_pressures(raw: str) -> list[float]:
 
 def cmd_pressure_scan(cfg: RunConfig, pressures: list[float], outdir: Path) -> int:
     cal = cfgmod.calibration(cfg)
-    scan = cfgmod.scan_pressures(cfg, pressures)
-    write_scan_csv(outdir / "pressure_scan.csv", scan)
+    scan, tau_r = cfgmod.scan_pressures(cfg, pressures), cfgmod.seed_pulse(cfg).tau_r
+    write_scan_csv(outdir / "pressure_scan.csv", scan, tau_r)
     flags = np.where(scan.valid, "", "  [dephasing margin below threshold]").tolist()
     row = "p = {:5.1f} mbar: tau_W = {:6.3f} ps, tau_D = {:6.3f} ps, margin = {:7.1f}{}".format
     lines = [
@@ -205,7 +205,7 @@ def cmd_pressure_scan(cfg: RunConfig, pressures: list[float], outdir: Path) -> i
         f"published reference slope {REFERENCE_DENSITY_SLOPE_PER_CM3_MBAR:.4e} cm^-3/mbar",
         *map(
             row, scan.p_mbar.tolist(), s_to_ps(scan.tau_W).tolist(),
-            s_to_ps(scan.tau_D).tolist(), scan.validity_margin.tolist(), flags,
+            s_to_ps(tau_r + scan.tau_D).tolist(), scan.validity_margin.tolist(), flags,
         ),
     ]
     sys.stdout.write("\n".join(lines) + "\n")

@@ -107,10 +107,11 @@ class ScanTable:
 
     Every column is a read-only 1-D array with one entry per pressure, in
     scan order, in SI units: N in m^-3, times in s, I_peak in W/m^2 and
-    energies in J. The _norm columns are relative to the maximum-pressure
-    row, and E_total_integral is the diagnostic from integrating the sech^2
-    burst. theta_r (rad) is shared by all rows, and len() is the number of
-    pressures.
+    energies in J. tau_D counts from the handover at tau_r, as in a
+    SuperradianceSolution; the CSV and stdout give it in pump time tau_r + tau_D.
+    The _norm columns are relative to the maximum-pressure row, and
+    E_total_integral is the diagnostic from integrating the sech^2 burst.
+    theta_r (rad) is shared by all rows, and len() is the number of pressures.
     """
 
     theta_r: float
@@ -234,17 +235,18 @@ def dephasing_time(p_mbar, params: DephasingParameters):
     return 1.0 / rate
 
 
-def superradiance_valid(tau_2, tau_w, tau_peak, threshold: float) -> ValidityCheck:
+def superradiance_valid(tau_2, tau_w, tau_r, tau_d, threshold: float) -> ValidityCheck:
     """Margin tau_2 / sqrt(tau_W tau_peak) of the no-dephasing assumption.
 
     The coherent treatment needs the dephasing time to dominate the
     geometric mean of the burst width and the time from the pump to the
-    burst peak, tau_peak = tau_r + max(tau_D - tau_r, 0) in pump time: a
-    burst whose peak would come before the handover (w0 < 0, or a seed
-    tipping past pi/2) peaks at the handover. `valid` flags margins at or
-    above `threshold`. Arrays are taken elementwise, and `valid` is then a
-    bool array.
+    burst peak. tau_d is the delay after the handover at tau_r, so the peak
+    is tau_peak = tau_r + max(tau_d, 0) in pump time: a burst whose peak
+    would come before the handover (w0 < 0, or a seed tipping past pi/2)
+    peaks at the handover. `valid` flags margins at or above `threshold`.
+    Arrays are taken elementwise, and `valid` is then a bool array.
     """
+    tau_peak = tau_r + np.maximum(tau_d, 0.0)
     if not all(np.greater(x, 0.0).all() for x in (tau_2, tau_w, tau_peak)):
         raise ValueError("all time scales must be positive")
     # A dephasing time near the float maximum can overflow the margin to inf,
@@ -300,9 +302,9 @@ def pressure_scan(
     theta_r = bloch_angle(seed, m, seed.tau_r)
     tau_w = characteristic_duration(m)
     # time_delay rejects a theta_r outside (0, pi), which the energies assume.
-    tau_d = time_delay(m, theta_r, seed.tau_r)
+    tau_d = time_delay(m, theta_r)
     tau_2 = dephasing_time(p, dephasing)
-    check = superradiance_valid(tau_2, tau_w, np.maximum(tau_d, seed.tau_r), threshold=validity_threshold)
+    check = superradiance_valid(tau_2, tau_w, seed.tau_r, tau_d, threshold=validity_threshold)
 
     def row(i):
         return f"p = {p[i].item()!r} mbar"
@@ -332,14 +334,14 @@ SCAN_CSV_HEADER = (
 )
 
 
-def write_scan_csv(path, scan: ScanTable) -> None:
-    """Write the scan in its CSV units.
+def write_scan_csv(path, scan: ScanTable, tau_r: float) -> None:
+    """Write the scan in its CSV units; tau_D_ps is pump time, tau_r + tau_D.
 
     A column that is not finite in those units raises NumericalError, naming
     the column and its first such pressure, before the file is opened.
     """
     write_columns(path, SCAN_CSV_HEADER, finite_columns("scan", SCAN_CSV_HEADER, lambda: [
-        scan.p_mbar, per_m3_to_per_cm3(scan.N), s_to_ps(scan.tau_W), s_to_ps(scan.tau_D),
+        scan.p_mbar, per_m3_to_per_cm3(scan.N), s_to_ps(scan.tau_W), s_to_ps(tau_r + scan.tau_D),
         # theta_r is one value: format it once, not once per row.
         [repr(scan.theta_r)] * len(scan), w_per_m2_to_w_per_cm2(scan.I_peak),
         scan.I_peak_norm, scan.E_total, scan.E_total_norm, scan.E_total_integral,

@@ -140,19 +140,20 @@ def _branch(w0: float) -> float:
     return math.copysign(1.0, w0)
 
 
-def time_delay(medium: TwoLevelMedium, theta_r: float, tau_r: float):
-    """Burst delay tau_D = tau_r - sign(w0) tau_W ln tan(theta_r / 2).
+def time_delay(medium: TwoLevelMedium, theta_r: float):
+    """Burst delay after the handover, tau_D = -sign(w0) tau_W ln tan(theta_r / 2).
 
-    For an inverted medium this exceeds tau_r exactly when theta_r < pi/2
+    For an inverted medium this is positive exactly when theta_r < pi/2
     (the smaller the tipping angle, the longer the lever arm of the unstable
-    equilibrium); for an absorbing medium the inequality flips. Diverges
+    equilibrium); for an absorbing medium the sign flips. Diverges
     logarithmically as theta_r -> 0 or pi. Elementwise in a scan column N.
+    The peak in pump time is tau_r + tau_D.
     """
     _check_handover_angle(theta_r)
     tau_w = characteristic_duration(medium)
-    # ln tan(pi/4) is 0; special-cased so the midpoint maps to tau_r exactly.
+    # ln tan(pi/4) is 0; special-cased so the midpoint maps to +0.0 exactly.
     log_tan = 0.0 if theta_r == 0.5 * math.pi else math.log(math.tan(0.5 * theta_r))
-    return tau_r - _branch(medium.w0) * tau_w * log_tan
+    return 0.0 - _branch(medium.w0) * tau_w * log_tan
 
 
 @dataclass(frozen=True)
@@ -215,7 +216,7 @@ def solve_after_seed(medium: TwoLevelMedium, theta_r: float) -> SuperradianceSol
     """
     classify_regime(medium.w0, theta_r)  # rejects the degenerate w0 and angles
     tau_w = characteristic_duration(medium)
-    tau_d = time_delay(medium, theta_r, 0.0)
+    tau_d = time_delay(medium, theta_r)
     p0 = peak_power_density(medium)
     i0 = p0 * medium.L
     if not (0.0 < p0 < math.inf and 0.0 < i0 < math.inf):

@@ -288,19 +288,17 @@ def _check_scan_scaling(cfg, scan) -> CheckResult:
 
     I_peak and E_total, normalized at the last pressure, follow x^2 and x
     with x = (p - p0)/(p_last - p0), to 1e-12; tau_W falls with p; and
-    (tau_D - tau_r)/tau_W equals -sign(w0) ln tan(theta_r/2) at every
-    pressure. tau_D - tau_r cancels digits when tau_r >> tau_W, so that last
-    test holds to 1e-12 max(1, tau_r/tau_W) rather than to 1e-12.
+    tau_D/tau_W, the delay after the handover, equals -sign(w0) ln
+    tan(theta_r/2) at every pressure to 1e-12, however short tau_W is.
     """
     p0 = cfgmod.calibration(cfg).p0
     x = (scan.p_mbar - p0) / (scan.p_mbar[-1] - p0)
     # One numpy max over both defects, so a NaN in either reads as a failure.
     worst = float(np.max([np.abs(scan.I_peak_norm - x**2), np.abs(scan.E_total_norm - x)]))
     widths_fall = bool(np.all(np.diff(scan.tau_W) < 0.0))
-    tau_r = cfgmod.seed_pulse(cfg).tau_r
     lever = _peak_delay_tau_w(cfg.w0, scan.theta_r)
-    delay = np.abs((scan.tau_D - tau_r) / scan.tau_W - lever)
-    delay_ok = bool(np.all(delay <= 1e-12 * np.maximum(1.0, tau_r / scan.tau_W)))
+    delay = np.abs(scan.tau_D / scan.tau_W - lever)
+    delay_ok = bool(np.all(delay <= 1e-12))
     ok = worst <= 1e-12 and widths_fall and delay_ok
     return CheckResult(
         "scan-scaling", ok,
@@ -314,8 +312,8 @@ def _check_dephasing(cfg, scan, sol: SuperradianceSolution) -> CheckResult:
 
     Both hold for every valid config; the published 207 ps at 20 mbar is a
     property of the default config and is pinned by the acceptance tests.
-    The margin at the anchor pressure, read at the burst peak in pump time
-    tau_r + max(tau_D, 0), must still clear the threshold.
+    The margin at the anchor pressure, read at the burst peak, must still
+    clear the threshold.
     """
     params = cfgmod.dephasing_parameters(cfg)
     p = np.asarray(DEFAULT_SCAN_PRESSURES)
@@ -325,10 +323,8 @@ def _check_dephasing(cfg, scan, sol: SuperradianceSolution) -> CheckResult:
     column = np.array_equal(scan.dephasing, tau_2)
 
     cal = cfgmod.calibration(cfg)
-    tau_peak = cfgmod.seed_pulse(cfg).tau_r + max(sol.tau_D, 0.0)
-    check = superradiance_valid(
-        dephasing_time(cal.anchor_p, params), sol.tau_W, tau_peak, threshold=cfg.validity_threshold
-    )
+    anchor_tau_2, tau_r = dephasing_time(cal.anchor_p, params), cfgmod.seed_pulse(cfg).tau_r
+    check = superradiance_valid(anchor_tau_2, sol.tau_W, tau_r, sol.tau_D, threshold=cfg.validity_threshold)
     ok = inverse_p and column and check.valid
     return CheckResult(
         "dephasing-window", ok,

@@ -161,8 +161,8 @@ def test_criterion_08_dephasing_window(capsys, cfg, cal, seed, template, dephasi
     medium = medium_at_pressure(cal, template, 8.0)
     theta_r = bloch_angle(seed, template, seed.tau_r)
     tau_w = characteristic_duration(medium)
-    tau_d = time_delay(medium, theta_r, seed.tau_r)
-    check = superradiance_valid(dephasing_time(8.0, dephasing), tau_w, tau_d, cfg.validity_threshold)
+    tau_d = time_delay(medium, theta_r)
+    check = superradiance_valid(dephasing_time(8.0, dephasing), tau_w, seed.tau_r, tau_d, cfg.validity_threshold)
     ok = band_ok and covers_ok and check.margin >= 10.0
     assert report(capsys, 8, "dephasing time window and validity margin", ok), (
         f"tau_2(20 mbar) = {s_to_ps(tau_2):.1f} ps, margin(8 mbar) = {check.margin:.1f}"

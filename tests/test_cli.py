@@ -480,6 +480,14 @@ class TestValidate:
             readings[k] = (code, sum(line.startswith("PASS") for line in out.splitlines()), err)
         assert readings == {k: (0, 11, "") for k in range(21)}
 
+    def test_tiniest_burst_reads_the_delay_invariant_unscaled(self, tmp_path, capsys):
+        """tau_W = 1e-159 s, some 1e147 times shorter than tau_r: the scan's tau_D
+        counts from the handover, so tau_D/tau_W still reads its lever to 1e-12."""
+        argv = ["validate", "--set", "anchor_tau_w_ps=1e-147", "--set", "length_mm=1e100"]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        line = next(line for line in capsys.readouterr().out.splitlines() if "scan-scaling" in line)
+        assert float(line.split("delay-invariant defect ")[1].split(",")[0]) <= 1e-12
+
     def test_weak_seed_is_followed_to_its_burst(self, tmp_path, capsys):
         """At 1e-300 MW/cm^2 the burst peaks about 349 tau_W after tau_r; each pendulum
         case runs past its own peak, so every order is resolved (a fixed 10 tau_W left

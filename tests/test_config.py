@@ -226,7 +226,7 @@ def test_reference_solution_is_the_anchor_burst(cfg, seed, anchor_medium):
     assert sol.medium == anchor_medium
     assert not hasattr(sol, "tau_r")
     assert sol.theta_r == bloch_angle(seed, anchor_medium, seed.tau_r)
-    assert sol.tau_D == time_delay(anchor_medium, sol.theta_r, 0.0)
+    assert sol.tau_D == time_delay(anchor_medium, sol.theta_r)
     assert sol.tau_W == pytest.approx(ps_to_s(cfg.anchor_tau_w_ps), rel=1e-12)
 
 

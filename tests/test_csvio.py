@@ -146,10 +146,10 @@ def test_profile(tmp_path, anchor_medium, seed, cfg):
 def test_scan(tmp_path, rng, cal, seed, template, dephasing):
     scan = pressure_scan(cal, seed, template, rng.uniform(2.6, 40.0, 500).tolist(), dephasing)
     path = tmp_path / "scan.csv"
-    write_scan_csv(path, scan)
+    write_scan_csv(path, scan, seed.tau_r)
     expected = SCAN_CSV_HEADER + "\n" + "".join(
         f"{float(scan.p_mbar[i])!r},{per_m3_to_per_cm3(float(scan.N[i]))!r},"
-        f"{s_to_ps(float(scan.tau_W[i]))!r},{s_to_ps(float(scan.tau_D[i]))!r},"
+        f"{s_to_ps(float(scan.tau_W[i]))!r},{s_to_ps(seed.tau_r + float(scan.tau_D[i]))!r},"
         f"{float(scan.theta_r)!r},{w_per_m2_to_w_per_cm2(float(scan.I_peak[i]))!r},"
         f"{float(scan.I_peak_norm[i])!r},{float(scan.E_total[i])!r},"
         f"{float(scan.E_total_norm[i])!r},{float(scan.E_total_integral[i])!r},"

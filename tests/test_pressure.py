@@ -158,19 +158,19 @@ class TestDephasing:
             dephasing_time(np.array([8.0, 6.0, 20.0]), huge)
 
     def test_validity_margin_definition(self, cfg):
-        check = superradiance_valid(200e-12, ps_to_s(1.666), ps_to_s(6.287), cfg.validity_threshold)
+        check = superradiance_valid(200e-12, ps_to_s(1.666), ps_to_s(6.287), 0.0, cfg.validity_threshold)
         assert check.margin == pytest.approx(61.7974801879895, rel=1e-12)
         assert check.valid
 
     def test_marginal_case_invalid(self, cfg):
-        tau_w, tau_d = 1e-12, 4e-12
-        check = superradiance_valid(math.sqrt(tau_w * tau_d), tau_w, tau_d, cfg.validity_threshold)
+        tau_w, tau_peak = 1e-12, 4e-12
+        check = superradiance_valid(math.sqrt(tau_w * tau_peak), tau_w, 3e-12, 1e-12, cfg.validity_threshold)
         assert check.margin == pytest.approx(1.0, rel=1e-12)
         assert not check.valid
 
     def test_margin_linear_in_tau2(self, cfg):
-        m1 = superradiance_valid(1e-10, 1e-12, 4e-12, cfg.validity_threshold).margin
-        m2 = superradiance_valid(2e-10, 1e-12, 4e-12, cfg.validity_threshold).margin
+        m1 = superradiance_valid(1e-10, 1e-12, 4e-12, 0.0, cfg.validity_threshold).margin
+        m2 = superradiance_valid(2e-10, 1e-12, 4e-12, 0.0, cfg.validity_threshold).margin
         assert m2 == 2.0 * m1
 
     def test_bad_parameters_rejected(self, dephasing):
@@ -259,9 +259,9 @@ class TestScan:
         assert len(scan) == 1
         assert scan.I_peak_norm[0] == 1.0 and scan.E_total_norm[0] == 1.0
 
-    def test_csv_format(self, tmp_path, rows):
+    def test_csv_format(self, tmp_path, rows, seed):
         path = tmp_path / "scan.csv"
-        write_scan_csv(path, rows)
+        write_scan_csv(path, rows, seed.tau_r)
         lines = path.read_text().splitlines()
         assert lines[0] == (
             "p_mbar,N_per_cm3,tau_W_ps,tau_D_ps,theta_r_rad,I_peak_W_cm2,"
@@ -272,6 +272,7 @@ class TestScan:
         first = lines[1].split(",")
         assert float(first[0]) == 6.0
         assert float(first[2]) == pytest.approx(s_to_ps(rows.tau_W[0]), rel=1e-15)
+        assert float(first[3]) == pytest.approx(s_to_ps(seed.tau_r + rows.tau_D[0]), rel=1e-15)
 
 
 def ulps(a, b):
@@ -299,9 +300,9 @@ class TestColumnarScan:
         for i, p in enumerate(pressures):
             m = medium_at_pressure(cal, template, p)
             tau_w = characteristic_duration(m)
-            tau_d = time_delay(m, scan.theta_r, seed.tau_r)
+            tau_d = time_delay(m, scan.theta_r)
             tau_2 = dephasing_time(p, dephasing)
-            check = superradiance_valid(tau_2, tau_w, max(tau_d, seed.tau_r), cfg.validity_threshold)
+            check = superradiance_valid(tau_2, tau_w, seed.tau_r, tau_d, cfg.validity_threshold)
             e_total = total_emitted_energy(m, scan.theta_r, 50e-6)
             assert (scan.p_mbar[i], scan.N[i], scan.tau_W[i], scan.tau_D[i]) == (p, m.N, tau_w, tau_d)
             assert scan.E_total[i] == e_total
@@ -330,7 +331,7 @@ class TestColumnarScan:
         for j in range(3):
             m = dataclasses.replace(anchor_medium, N=float(n[j]))
             assert characteristic_duration(column)[j] == characteristic_duration(m)
-            assert time_delay(column, THETA_R, 1e-12)[j] == time_delay(m, THETA_R, 1e-12)
+            assert time_delay(column, THETA_R)[j] == time_delay(m, THETA_R)
             assert ulps(peak_power_density(column)[j], peak_power_density(m)) <= 1.0
             assert ulps(peak_intensity(column)[j], peak_intensity(m)) <= 1.0
             assert total_emitted_energy(column, THETA_R, 50e-6)[j] == total_emitted_energy(m, THETA_R, 50e-6)
@@ -340,30 +341,32 @@ class TestColumnarScan:
             assert dephasing_time(p, dephasing)[j] == dephasing_time(float(p[j]), dephasing)
 
     def test_scalar_calls_return_python_types(self, anchor_medium, dephasing, cfg):
-        check = superradiance_valid(200e-12, 1e-12, 4e-12, cfg.validity_threshold)
+        check = superradiance_valid(200e-12, 1e-12, 4e-12, 1e-12, cfg.validity_threshold)
         assert type(check.margin) is float and type(check.valid) is bool
         assert type(characteristic_duration(anchor_medium)) is float
         assert type(dephasing_time(8.0, dephasing)) is float
 
     def test_margin_reads_the_peak_time(self, cfg):
-        """The margin is tau_2/sqrt(tau_W tau_peak); a peak time that is not positive
-        is rejected like the other time scales."""
-        tau_peak = np.array([4e-12, 1e-12, 2e-12])
-        check = superradiance_valid(np.full(3, 1e-10), np.full(3, 1e-12), tau_peak, cfg.validity_threshold)
-        assert check.margin.tolist() == (1e-10 / np.sqrt(1e-12 * tau_peak)).tolist()
+        """The margin is tau_2/sqrt(tau_W tau_peak) with tau_peak = tau_r + max(tau_d, 0);
+        a peak time that is not positive is rejected like the other time scales."""
+        tau_d = np.array([3e-12, -1e-12, 0.0])
+        check = superradiance_valid(np.full(3, 1e-10), np.full(3, 1e-12), 1e-12, tau_d, cfg.validity_threshold)
+        assert check.margin.tolist() == (1e-10 / np.sqrt(1e-12 * np.array([4e-12, 1e-12, 1e-12]))).tolist()
         for bad in (0.0, -1e-12):
             with pytest.raises(ValueError, match="all time scales must be positive"):
-                superradiance_valid(1e-10, 1e-12, bad, cfg.validity_threshold)
+                superradiance_valid(1e-10, 1e-12, bad, 0.0, cfg.validity_threshold)
+        with pytest.raises(ValueError, match="all time scales must be positive"):
+            superradiance_valid(1e-10, 1e-12, 1e-12, math.nan, cfg.validity_threshold)
 
     def test_absorbing_scan_reads_the_margin_at_the_handover(self, cal, seed, template, dephasing):
         """On w0 < 0 a weak seed's burst would peak before tau_r, at 100 mbar after the
         pump and at 6 and 8 mbar before it, so each peaks at the handover: the margin
-        is tau_2/sqrt(tau_W tau_r), and tau_D keeps its closed form."""
+        is tau_2/sqrt(tau_W tau_r), and tau_D, counted from tau_r, keeps its closed form."""
         absorbing = dataclasses.replace(template, w0=-template.w0)
         scan = pressure_scan(cal, seed, absorbing, [100.0, 6.0, 8.0], dephasing)
-        assert 0.0 < scan.tau_D[0] < seed.tau_r and np.all(scan.tau_D[1:] < 0.0)
+        assert -seed.tau_r < scan.tau_D[0] < 0.0 and np.all(scan.tau_D[1:] < -seed.tau_r)
         m = medium_at_pressure(cal, absorbing, scan.p_mbar)
-        assert scan.tau_D.tolist() == time_delay(m, scan.theta_r, seed.tau_r).tolist()
+        assert scan.tau_D.tolist() == time_delay(m, scan.theta_r).tolist()
         assert scan.validity_margin.tolist() == (scan.dephasing / np.sqrt(scan.tau_W * seed.tau_r)).tolist()
 
     def test_density_from_pressure_array(self, cal):

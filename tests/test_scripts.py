@@ -37,7 +37,7 @@ def test_golden_outputs_lists_every_output(tmp_path, capsys):
     for name in (
         "seed-phase/bloch_trajectory.csv", "regimes/regime4.csv", "validate/validate_report.txt",
         "pressure-scan/pressure_scan.csv", "pressure-scan-list/pressure_scan.csv",
-        "pressure-scan-absorbing/pressure_scan.csv",
+        "pressure-scan-absorbing/pressure_scan.csv", "pressure-scan-short-burst/pressure_scan.csv",
         "fit/fits.csv", "fit/pulse_summary.csv",
     ):
         assert name in files

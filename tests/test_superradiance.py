@@ -95,38 +95,37 @@ class TestTimescales:
 
 class TestTimeDelay:
     def test_midpoint_maps_to_handover_time(self, anchor_medium):
-        assert time_delay(anchor_medium, 0.5 * math.pi, TAU_R) == TAU_R
+        tau_d = time_delay(anchor_medium, 0.5 * math.pi)
+        assert tau_d == 0.0 and math.copysign(1.0, tau_d) == 1.0
 
     def test_anchor_value(self, anchor_medium):
-        tau_d = time_delay(anchor_medium, THETA_R, TAU_R)
-        assert tau_d == pytest.approx(TAU_D8, rel=1e-12)
+        tau_d = time_delay(anchor_medium, THETA_R)
+        assert TAU_R + tau_d == pytest.approx(TAU_D8, rel=1e-12)
         tau_w = characteristic_duration(anchor_medium)
-        assert (tau_d - TAU_R) / tau_w == pytest.approx(2.439754937781293, rel=1e-12)
+        assert tau_d / tau_w == pytest.approx(2.439754937781293, rel=1e-12)
 
     def test_published_rounded_inputs(self, anchor_medium):
         # with the rounded angle 0.057 pi the delay lands near 4.95 ps,
         # about 2.41 widths past the handover time
-        tau_d = time_delay(anchor_medium, 0.057 * math.pi, TAU_R)
-        assert s_to_ps(tau_d) == pytest.approx(4.951799871819509, rel=1e-12)
-        assert abs(s_to_ps(tau_d) - 4.96) < 0.02
+        tau_d = time_delay(anchor_medium, 0.057 * math.pi)
+        assert s_to_ps(TAU_R + tau_d) == pytest.approx(4.951799871819509, rel=1e-12)
+        assert abs(s_to_ps(TAU_R + tau_d) - 4.96) < 0.02
         tau_w = characteristic_duration(anchor_medium)
-        assert (tau_d - TAU_R) / tau_w == pytest.approx(2.41, abs=0.01)
+        assert tau_d / tau_w == pytest.approx(2.41, abs=0.01)
 
     def test_weak_seed_delays_strong_seed_advances(self, anchor_medium):
-        assert time_delay(anchor_medium, 0.3 * math.pi, TAU_R) > TAU_R
-        assert time_delay(anchor_medium, 0.7 * math.pi, TAU_R) < TAU_R
+        assert time_delay(anchor_medium, 0.3 * math.pi) > 0.0
+        assert time_delay(anchor_medium, 0.7 * math.pi) < 0.0
 
     def test_sign_flip_mirrors_offset(self, anchor_medium):
         flipped = dataclasses.replace(anchor_medium, w0=-anchor_medium.w0)
         for theta_r in (0.2 * math.pi, 0.7 * math.pi):
-            off = time_delay(anchor_medium, theta_r, TAU_R) - TAU_R
-            off_flipped = time_delay(flipped, theta_r, TAU_R) - TAU_R
-            assert off_flipped == -off
+            assert time_delay(flipped, theta_r) == -time_delay(anchor_medium, theta_r)
 
     def test_rejects_degenerate_angle(self, anchor_medium):
         for theta_r in (0.0, math.pi, -0.1, 3.5):
             with pytest.raises(ValueError):
-                time_delay(anchor_medium, theta_r, TAU_R)
+                time_delay(anchor_medium, theta_r)
 
 
 class TestRegimes:
@@ -329,7 +328,7 @@ class TestPendulum:
         """The integrated angle passes pi/2 within one step of time_delay."""
         tau_w = characteristic_duration(anchor_medium)
         dt = 1e-3 * tau_w
-        tau_d = time_delay(anchor_medium, THETA_R, 0.0)
+        tau_d = time_delay(anchor_medium, THETA_R)
         t, theta = integrate_pendulum(THETA_R, anchor_medium, 10.0 * tau_w, dt)
         idx = int(np.searchsorted(theta, 0.5 * math.pi))
         assert abs(t[idx] - tau_d) <= 2.0 * dt

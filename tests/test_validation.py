@@ -570,12 +570,30 @@ class TestScanScaling:
         result = validation._check_scan_scaling(strong, scan)
         assert result.passed, result.detail
 
-    def test_delay_invariant_scales_with_tau_r(self, cfg):
-        """tau_D - tau_r cancels digits when tau_r >> tau_W; the bound scales with it."""
-        narrow = dataclasses.replace(cfg, **NARROW_BURST)
-        scan = config.scan_pressures(narrow, validation.DEFAULT_SCAN_PRESSURES)
-        result = validation._check_scan_scaling(narrow, scan)
+    SHORT_BURSTS = pytest.mark.parametrize(
+        "overrides", [NARROW_BURST, {"anchor_tau_w_ps": 1e-20}], ids=["narrow", "tau-w-1e-20-ps"]
+    )
+
+    @SHORT_BURSTS
+    def test_delay_invariant_holds_to_1e12_at_any_width(self, cfg, overrides):
+        """The scan's tau_D counts from the handover, so no digits cancel against
+        tau_r >> tau_W and the invariant holds to 1e-12 unscaled."""
+        short = dataclasses.replace(cfg, **overrides)
+        scan = config.scan_pressures(short, validation.DEFAULT_SCAN_PRESSURES)
+        result = validation._check_scan_scaling(short, scan)
         assert result.passed, result.detail
+        assert float(result.detail.split("delay-invariant defect ")[1].split(",")[0]) <= 1e-12
+
+    @SHORT_BURSTS
+    def test_short_burst_shifted_delay_fails(self, cfg, overrides):
+        """A delay off by 1e-9 tau_W fails however short the burst is next to tau_r."""
+        short = dataclasses.replace(cfg, **overrides)
+        scan = config.scan_pressures(short, validation.DEFAULT_SCAN_PRESSURES)
+        tau_d = scan.tau_D.copy()
+        tau_d[4] += 1e-9 * scan.tau_W[4]
+        result = validation._check_scan_scaling(short, dataclasses.replace(scan, tau_D=tau_d))
+        assert not result.passed
+        assert "widths falling: True" in result.detail
 
     @pytest.mark.parametrize("column", ["I_peak_norm", "E_total_norm"])
     def test_nan_column_fails(self, cfg, column):
