@@ -197,7 +197,8 @@ def cmd_pressure_scan(cfg: RunConfig, pressures: list[float], outdir: Path) -> i
     cal = cfgmod.calibration(cfg)
     scan, tau_r = cfgmod.scan_pressures(cfg, pressures), cfgmod.seed_pulse(cfg).tau_r
     write_scan_csv(outdir / "pressure_scan.csv", scan, tau_r)
-    flags = np.where(scan.valid, "", "  [dephasing margin below threshold]").tolist()
+    valid = scan.validity_margin >= cfg.validity_threshold
+    flags = np.where(valid, "", "  [dephasing margin below threshold]").tolist()
     row = "p = {:5.1f} mbar: tau_W = {:6.3f} ps, tau_D = {:6.3f} ps, margin = {:7.1f}{}".format
     lines = [
         f"density slope k = {per_m3_to_per_cm3(cal.k):.4e} cm^-3/mbar from the anchor "

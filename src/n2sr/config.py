@@ -96,18 +96,29 @@ def _coerce(key: str, raw: str):
     return value
 
 
+_SYNTAX_ERRORS = {  # what the bad line does wrong, by configparser error type
+    configparser.MissingSectionHeaderError: "comes before the first [section]",
+    configparser.DuplicateSectionError: "repeats a section",
+    configparser.DuplicateOptionError: "repeats a key",
+}
+
+
 def _read_file(path: Path) -> dict[str, str]:
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    if not any(line.lstrip().startswith("[") for line in text.splitlines()):
-        text = "[run]\n" + text
+    # A bare key=value file is read as one [run] section.
+    header = "" if any(line.lstrip().startswith("[") for line in text.splitlines()) else "[run]\n"
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read_string(text, source=str(path))
+        parser.read_string(header + text, source=str(path))
     except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config file {path}: {exc}") from None
+        # configparser splits on "\n" alone; name its first bad line, numbered as in the file.
+        lineno = (getattr(exc, "lineno", None) or exc.errors[0][0]) - header.count("\n")
+        why = _SYNTAX_ERRORS.get(type(exc), "is not of the form key = value")
+        line = text.split("\n")[lineno - 1].strip()
+        raise ConfigError(f"cannot parse config file {path}: line {lineno} ({line!r}) {why}") from None
     flat: dict[str, str] = {}
     for section in parser.sections():
         for key, value in parser.items(section):
@@ -148,8 +159,6 @@ def validate_config(cfg: RunConfig) -> None:
         seed = seed_pulse(cfg)
         calibration(cfg)
         dephasing_parameters(cfg)
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     except ArithmeticError as exc:
@@ -161,8 +170,7 @@ def validate_config(cfg: RunConfig) -> None:
             f"config key 'tau_s_ps' is {cfg.tau_s_ps!r} ps, below the smallest normal "
             f"double in seconds ({sys.float_info.min!r} s)"
         )
-    for key in ("dt_over_tau_s", "window_tau_w", "regime_span_tau_w", "validity_threshold",
-                "radius_um"):
+    for key in ("dt_over_tau_s", "window_tau_w", "regime_span_tau_w", "validity_threshold", "radius_um"):
         if not getattr(cfg, key) > 0.0:
             raise ConfigError(f"config key '{key}' must be positive")
     # seed_trajectory needs dt < tau_r; checked here on the same products,
@@ -252,7 +260,6 @@ def scan_pressures(cfg: RunConfig, pressures: Sequence[float]) -> ScanTable:
         pressures,
         dephasing=dephasing_parameters(cfg),
         radius=um_to_m(cfg.radius_um),
-        validity_threshold=cfg.validity_threshold,
     )
 
 

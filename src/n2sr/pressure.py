@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "DensityCalibration",
     "DephasingParameters",
     "ScanTable",
-    "ValidityCheck",
     "REFERENCE_DENSITY_SLOPE_PER_CM3_MBAR",
     "calibrate_density_scale",
     "density_from_pressure",
@@ -44,7 +43,7 @@ __all__ = [
     "total_emitted_energy",
     "emitted_energy_integral",
     "dephasing_time",
-    "superradiance_valid",
+    "validity_margin",
     "pressure_scan",
     "write_scan_csv",
 ]
@@ -96,11 +95,6 @@ class DephasingParameters:
             raise ValueError("temperature must be positive")
 
 
-class ValidityCheck(NamedTuple):
-    valid: bool    # a bool array for array inputs
-    margin: float  # a float array for array inputs
-
-
 @dataclass(frozen=True, eq=False)
 class ScanTable:
     """Predicted burst observables across a pressure scan, one column each.
@@ -126,7 +120,6 @@ class ScanTable:
     E_total_integral: np.ndarray
     dephasing: np.ndarray
     validity_margin: np.ndarray
-    valid: np.ndarray  # bool
 
     def __post_init__(self) -> None:
         for name in (f.name for f in fields(self) if f.name != "theta_r"):
@@ -235,7 +228,7 @@ def dephasing_time(p_mbar, params: DephasingParameters):
     return 1.0 / rate
 
 
-def superradiance_valid(tau_2, tau_w, tau_r, tau_d, threshold: float) -> ValidityCheck:
+def validity_margin(tau_2, tau_w, tau_r, tau_d):
     """Margin tau_2 / sqrt(tau_W tau_peak) of the no-dephasing assumption.
 
     The coherent treatment needs the dephasing time to dominate the
@@ -243,19 +236,16 @@ def superradiance_valid(tau_2, tau_w, tau_r, tau_d, threshold: float) -> Validit
     burst peak. tau_d is the delay after the handover at tau_r, so the peak
     is tau_peak = tau_r + max(tau_d, 0) in pump time: a burst whose peak
     would come before the handover (w0 < 0, or a seed tipping past pi/2)
-    peaks at the handover. `valid` flags margins at or above `threshold`.
-    Arrays are taken elementwise, and `valid` is then a bool array.
+    peaks at the handover. Scalars give a float and arrays are taken
+    elementwise; the caller compares the margin with its threshold.
     """
     tau_peak = tau_r + np.maximum(tau_d, 0.0)
     if not all(np.greater(x, 0.0).all() for x in (tau_2, tau_w, tau_peak)):
         raise ValueError("all time scales must be positive")
-    # A dephasing time near the float maximum can overflow the margin to inf,
-    # which is valid at any threshold.
+    # A tau_2 near the float maximum overflows the margin to inf, which clears any threshold.
     with np.errstate(over="ignore"):
         margin = tau_2 / np.sqrt(tau_w * tau_peak)
-    if np.ndim(margin) == 0:
-        return ValidityCheck(valid=bool(margin >= threshold), margin=float(margin))
-    return ValidityCheck(valid=margin >= threshold, margin=margin)
+    return float(margin) if np.ndim(margin) == 0 else margin
 
 
 def pressure_scan(
@@ -264,9 +254,8 @@ def pressure_scan(
     medium_template: TwoLevelMedium,
     pressures: Sequence[float],
     dephasing: DephasingParameters,
-    # The sweep in benchmarks/worker.py relies on these three (dt is unused).
+    # The sweep in benchmarks/worker.py relies on these two (dt is unused).
     radius: float = 50e-6,
-    validity_threshold: float = 10.0,
     dt: Optional[float] = None,
 ) -> ScanTable:
     """Predict burst observables across a pressure grid (order preserved).
@@ -304,7 +293,7 @@ def pressure_scan(
     # time_delay rejects a theta_r outside (0, pi), which the energies assume.
     tau_d = time_delay(m, theta_r)
     tau_2 = dephasing_time(p, dephasing)
-    check = superradiance_valid(tau_2, tau_w, seed.tau_r, tau_d, threshold=validity_threshold)
+    margin = validity_margin(tau_2, tau_w, seed.tau_r, tau_d)
 
     def row(i):
         return f"p = {p[i].item()!r} mbar"
@@ -323,7 +312,7 @@ def pressure_scan(
         I_peak=i_peak, I_peak_norm=i_norm,
         E_total=e_total, E_total_norm=e_norm,
         E_total_integral=emitted_energy_integral(m, theta_r, radius),
-        dephasing=tau_2, validity_margin=check.margin, valid=check.valid,
+        dephasing=tau_2, validity_margin=margin,
     )
 
 

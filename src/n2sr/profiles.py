@@ -388,7 +388,10 @@ def read_trace_csv(path) -> TemporalTrace:
     therefore float()'s.
     """
     path = Path(path)
-    text = path.read_text()
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"{path}: {exc}") from None
     lines = text.split("\n")
     pressure = None
     for i, raw in enumerate(lines):

@@ -17,7 +17,7 @@ import numpy as np
 from . import config as cfgmod
 from .bloch import PHASE_TOLERANCE, bloch_angle, integrate_bloch_rwa, rabi_frequency_peak
 from .constants import CONSTANTS, mw_per_cm2_to_w_per_m2, s_to_ps
-from .pressure import dephasing_time, superradiance_valid
+from .pressure import dephasing_time, validity_margin
 from .profiles import SECH2_FWHM_EXACT, TemporalTrace, extract_fwhm
 from .superradiance import (
     SuperradianceSolution,
@@ -322,14 +322,13 @@ def _check_dephasing(cfg, scan, sol: SuperradianceSolution) -> CheckResult:
     inverse_p = float(np.max(np.abs(product / product[0] - 1.0))) <= 1e-12
     column = np.array_equal(scan.dephasing, tau_2)
 
-    cal = cfgmod.calibration(cfg)
-    anchor_tau_2, tau_r = dephasing_time(cal.anchor_p, params), cfgmod.seed_pulse(cfg).tau_r
-    check = superradiance_valid(anchor_tau_2, sol.tau_W, tau_r, sol.tau_D, threshold=cfg.validity_threshold)
-    ok = inverse_p and column and check.valid
+    anchor_tau_2 = dephasing_time(cfg.anchor_p_mbar, params)
+    margin = validity_margin(anchor_tau_2, sol.tau_W, cfgmod.seed_pulse(cfg).tau_r, sol.tau_D)
+    ok = inverse_p and column and margin >= cfg.validity_threshold
     return CheckResult(
         "dephasing-window", ok,
         f"tau_2(20 mbar) = {s_to_ps(dephasing_time(20.0, params)):.1f} ps, "
-        f"anchor margin = {check.margin:.1f}",
+        f"anchor margin = {margin:.1f}",
     )
 
 

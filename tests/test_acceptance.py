@@ -13,7 +13,7 @@ import pytest
 from n2sr.bloch import bloch_angle, integrate_bloch_rwa
 from n2sr.constants import ps_to_s, s_to_ps
 from n2sr.datasets import MEASURED_PULSE_WIDTH_DELAY_PS
-from n2sr.pressure import dephasing_time, pressure_scan, superradiance_valid
+from n2sr.pressure import dephasing_time, pressure_scan, validity_margin
 from n2sr.profiles import (
     SECH2_FWHM_EXACT,
     TemporalTrace,
@@ -162,10 +162,10 @@ def test_criterion_08_dephasing_window(capsys, cfg, cal, seed, template, dephasi
     theta_r = bloch_angle(seed, template, seed.tau_r)
     tau_w = characteristic_duration(medium)
     tau_d = time_delay(medium, theta_r)
-    check = superradiance_valid(dephasing_time(8.0, dephasing), tau_w, seed.tau_r, tau_d, cfg.validity_threshold)
-    ok = band_ok and covers_ok and check.margin >= 10.0
+    margin = validity_margin(dephasing_time(8.0, dephasing), tau_w, seed.tau_r, tau_d)
+    ok = band_ok and covers_ok and margin >= 10.0
     assert report(capsys, 8, "dephasing time window and validity margin", ok), (
-        f"tau_2(20 mbar) = {s_to_ps(tau_2):.1f} ps, margin(8 mbar) = {check.margin:.1f}"
+        f"tau_2(20 mbar) = {s_to_ps(tau_2):.1f} ps, margin(8 mbar) = {margin:.1f}"
     )
 
 

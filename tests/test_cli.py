@@ -312,6 +312,15 @@ class TestPressureScan:
         with pytest.raises(config.ConfigError, match="--pressures has 4 comma-separated fields"):
             _parse_pressures("6,8,10,")
 
+    def test_empty_fields_are_skipped(self, tmp_path):
+        assert main(["pressure-scan", "--pressures", "6,,8", "--out", str(tmp_path)]) == 0
+        assert floats(read_csv(tmp_path / "pressure_scan.csv"), "p_mbar") == [6.0, 8.0]
+
+    @pytest.mark.parametrize("raw", [",", "", " , "])
+    def test_empty_pressure_list_exits_1(self, tmp_path, capsys, raw):
+        assert main(["pressure-scan", "--pressures", raw, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: the pressure list is empty\n"
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["pressure-scan", "--out", str(a)]) == 0

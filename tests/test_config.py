@@ -22,6 +22,7 @@ from n2sr.config import (
     validate_config,
 )
 from n2sr.bloch import bloch_angle
+from n2sr.cli import main
 from n2sr.constants import ps_to_s, um_to_m
 from n2sr.pressure import pressure_scan
 from n2sr.superradiance import time_delay
@@ -93,6 +94,30 @@ def test_malformed_override_rejected():
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "does-not-exist.ini")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[run]\nbad one\nw0 = 0.1\nalso bad\n", "line 2 ('bad one') is not of the form key = value"),
+    ("w0 = 0.1\n[run]\nlambda_nm = 391\n", "line 1 ('w0 = 0.1') comes before the first [section]"),
+    # A bare file is read under an added [run] line, which the line number leaves out.
+    ("w0 = 0.1\nbad\n", "line 2 ('bad') is not of the form key = value"),
+    ("w0 = 0.1\nw0 = 0.2\n", "line 2 ('w0 = 0.2') repeats a key"),
+    ("[run]\nw0 = 0.1\n[run]\n", "line 3 ('[run]') repeats a section"),
+], ids=["bad-line", "key-before-section", "bare-bad-line", "bare-repeated-key", "repeated-section"])
+def test_syntax_error_is_one_line_naming_file_and_line(tmp_path, capsys, text, message):
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    assert main(["seed-phase", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: cannot parse config file {path}: {message}\n"
+
+
+def test_undecodable_file_named(tmp_path, capsys):
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(b"w0 = 0.1 \xff\n")
+    assert main(["seed-phase", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config file {path}: ") and "can't decode" in err
+    assert err.count("\n") == 1
 
 
 class TestSeedSpecification:
@@ -237,7 +262,6 @@ def test_scan_pressures_uses_the_configured_radius():
     direct = pressure_scan(
         calibration(cfg), seed_pulse(cfg), medium_template(cfg), [8.0],
         dephasing=dephasing_parameters(cfg), radius=um_to_m(cfg.radius_um),
-        validity_threshold=cfg.validity_threshold,
     )
     assert scan.E_total.tolist() == direct.E_total.tolist()
     assert scan.theta_r == direct.theta_r

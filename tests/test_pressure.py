@@ -20,8 +20,8 @@ from n2sr.pressure import (
     emitted_energy_integral,
     medium_at_pressure,
     pressure_scan,
-    superradiance_valid,
     total_emitted_energy,
+    validity_margin,
     write_scan_csv,
 )
 from n2sr.superradiance import (
@@ -158,19 +158,19 @@ class TestDephasing:
             dephasing_time(np.array([8.0, 6.0, 20.0]), huge)
 
     def test_validity_margin_definition(self, cfg):
-        check = superradiance_valid(200e-12, ps_to_s(1.666), ps_to_s(6.287), 0.0, cfg.validity_threshold)
-        assert check.margin == pytest.approx(61.7974801879895, rel=1e-12)
-        assert check.valid
+        margin = validity_margin(200e-12, ps_to_s(1.666), ps_to_s(6.287), 0.0)
+        assert margin == pytest.approx(61.7974801879895, rel=1e-12)
+        assert margin >= cfg.validity_threshold
 
     def test_marginal_case_invalid(self, cfg):
         tau_w, tau_peak = 1e-12, 4e-12
-        check = superradiance_valid(math.sqrt(tau_w * tau_peak), tau_w, 3e-12, 1e-12, cfg.validity_threshold)
-        assert check.margin == pytest.approx(1.0, rel=1e-12)
-        assert not check.valid
+        margin = validity_margin(math.sqrt(tau_w * tau_peak), tau_w, 3e-12, 1e-12)
+        assert margin == pytest.approx(1.0, rel=1e-12)
+        assert not margin >= cfg.validity_threshold
 
-    def test_margin_linear_in_tau2(self, cfg):
-        m1 = superradiance_valid(1e-10, 1e-12, 4e-12, 0.0, cfg.validity_threshold).margin
-        m2 = superradiance_valid(2e-10, 1e-12, 4e-12, 0.0, cfg.validity_threshold).margin
+    def test_margin_linear_in_tau2(self):
+        m1 = validity_margin(1e-10, 1e-12, 4e-12, 0.0)
+        m2 = validity_margin(2e-10, 1e-12, 4e-12, 0.0)
         assert m2 == 2.0 * m1
 
     def test_bad_parameters_rejected(self, dephasing):
@@ -235,9 +235,9 @@ class TestScan:
         assert coarse.theta_r == rows.theta_r
         assert coarse.tau_D.tolist() == rows.tau_D.tolist()
 
-    def test_anchor_validity(self, rows):
+    def test_anchor_validity(self, rows, cfg):
         assert rows.validity_margin[I8] == pytest.approx(179.37611593046836, rel=1e-10)
-        assert rows.valid[I8]
+        assert rows.validity_margin[I8] >= cfg.validity_threshold
 
     def test_intensity_ratio_between_densities(self, cal, seed, template, dephasing):
         """Doubling p - p0 quadruples the peak and doubles the energy."""
@@ -292,7 +292,7 @@ class TestColumnarScan:
     def scan(self, cal, seed, template, dephasing, pressures):
         return pressure_scan(cal, seed, template, pressures, dephasing)
 
-    def test_columns_equal_scalar_closed_forms(self, scan, pressures, cal, seed, template, dephasing, cfg):
+    def test_columns_equal_scalar_closed_forms(self, scan, pressures, cal, seed, template, dephasing):
         i_ref = int(np.argmax(pressures))
         m_ref = medium_at_pressure(cal, template, pressures[i_ref])
         i_peak_ref = peak_intensity(m_ref)
@@ -302,23 +302,22 @@ class TestColumnarScan:
             tau_w = characteristic_duration(m)
             tau_d = time_delay(m, scan.theta_r)
             tau_2 = dephasing_time(p, dephasing)
-            check = superradiance_valid(tau_2, tau_w, seed.tau_r, tau_d, cfg.validity_threshold)
+            margin = validity_margin(tau_2, tau_w, seed.tau_r, tau_d)
             e_total = total_emitted_energy(m, scan.theta_r, 50e-6)
             assert (scan.p_mbar[i], scan.N[i], scan.tau_W[i], scan.tau_D[i]) == (p, m.N, tau_w, tau_d)
             assert scan.E_total[i] == e_total
             assert scan.E_total_norm[i] == e_total / e_ref
             assert scan.E_total_integral[i] == emitted_energy_integral(m, scan.theta_r, 50e-6)
-            assert (scan.dephasing[i], scan.validity_margin[i]) == (tau_2, check.margin)
-            assert scan.valid[i] == check.valid
+            assert (scan.dephasing[i], scan.validity_margin[i]) == (tau_2, margin)
             # numpy squares N as N * N, Python's N**2 calls libm pow.
             assert ulps(scan.I_peak[i], peak_intensity(m)) <= 1.0
             assert ulps(scan.I_peak_norm[i], peak_intensity(m) / i_peak_ref) <= 1.0
 
     def test_table_shape(self, scan, pressures):
         assert len(scan) == len(pressures)
-        assert scan.valid.dtype == bool and scan.p_mbar[-1] == pressures[-1]
+        assert scan.validity_margin.dtype == float and scan.p_mbar[-1] == pressures[-1]
         assert scan.p_mbar.tolist() == pressures
-        for name in ("p_mbar", "tau_W", "valid"):
+        for name in ("p_mbar", "tau_W", "validity_margin"):
             column = getattr(scan, name)
             assert column.shape == (len(pressures),)
             with pytest.raises(ValueError):
@@ -340,23 +339,22 @@ class TestColumnarScan:
             )
             assert dephasing_time(p, dephasing)[j] == dephasing_time(float(p[j]), dephasing)
 
-    def test_scalar_calls_return_python_types(self, anchor_medium, dephasing, cfg):
-        check = superradiance_valid(200e-12, 1e-12, 4e-12, 1e-12, cfg.validity_threshold)
-        assert type(check.margin) is float and type(check.valid) is bool
+    def test_scalar_calls_return_python_types(self, anchor_medium, dephasing):
+        assert type(validity_margin(200e-12, 1e-12, 4e-12, 1e-12)) is float
         assert type(characteristic_duration(anchor_medium)) is float
         assert type(dephasing_time(8.0, dephasing)) is float
 
-    def test_margin_reads_the_peak_time(self, cfg):
+    def test_margin_reads_the_peak_time(self):
         """The margin is tau_2/sqrt(tau_W tau_peak) with tau_peak = tau_r + max(tau_d, 0);
         a peak time that is not positive is rejected like the other time scales."""
         tau_d = np.array([3e-12, -1e-12, 0.0])
-        check = superradiance_valid(np.full(3, 1e-10), np.full(3, 1e-12), 1e-12, tau_d, cfg.validity_threshold)
-        assert check.margin.tolist() == (1e-10 / np.sqrt(1e-12 * np.array([4e-12, 1e-12, 1e-12]))).tolist()
+        margin = validity_margin(np.full(3, 1e-10), np.full(3, 1e-12), 1e-12, tau_d)
+        assert margin.tolist() == (1e-10 / np.sqrt(1e-12 * np.array([4e-12, 1e-12, 1e-12]))).tolist()
         for bad in (0.0, -1e-12):
             with pytest.raises(ValueError, match="all time scales must be positive"):
-                superradiance_valid(1e-10, 1e-12, bad, 0.0, cfg.validity_threshold)
+                validity_margin(1e-10, 1e-12, bad, 0.0)
         with pytest.raises(ValueError, match="all time scales must be positive"):
-            superradiance_valid(1e-10, 1e-12, 1e-12, math.nan, cfg.validity_threshold)
+            validity_margin(1e-10, 1e-12, 1e-12, math.nan)
 
     def test_absorbing_scan_reads_the_margin_at_the_handover(self, cal, seed, template, dephasing):
         """On w0 < 0 a weak seed's burst would peak before tau_r, at 100 mbar after the

@@ -414,6 +414,8 @@ class TestTraceCsv:
             ("time_ps,intensity_arb\n0.0,1.0\n1.0,2.0,3.0\n4.0\n" + ROWS,
              ":3: expected two comma-separated fields"),
             ("time_ps,intensity_arb\n" + ROWS + "5.0\n", ":12: expected two comma-separated fields"),
+            ("time_ps,intensity_arb\n" + "1.0,2.0,3.0\n" * 10, ":2: expected two comma-separated fields"),
+            ("time_ps,intensity_arb\n" + "1.0\n" * 10, ":2: expected two comma-separated fields"),
             ("time_ps,intensity_arb\n" + ROWS + "\n# c\n9.0,x\n", ":14: unreadable numeric field"),
             ("# pressure_mbar=8\n\n# only comments\n", ": missing 'time_ps,intensity_arb' header"),
             ("time_ps,intensity_arb\n\n# no rows\n", ": no data rows"),
@@ -433,6 +435,13 @@ class TestTraceCsv:
         with pytest.raises(TraceFormatError) as err:
             read_trace_csv(path)
         assert str(err.value) == f"{path}{message}"
+
+    def test_undecodable_file_named(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"# pressure_mbar=8\xff\ntime_ps,intensity_arb\n" + self.ROWS.encode())
+        with pytest.raises(TraceFormatError) as err:
+            read_trace_csv(path)
+        assert str(err.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xff")
 
     def test_comments_and_blank_lines_anywhere(self, tmp_path):
         tr = synthesize_sech2_trace(1.0, ps_to_s(5.0), ps_to_s(1.0), 0.0, ps_to_s(10.0), 64, 8.0)
