@@ -164,10 +164,9 @@ def cmd_regimes(cfg: RunConfig, outdir: Path) -> int:
     write_profile_csv(outdir / "profile.csv", weak, weak.time_grid(cfg.window_tau_w, cfg.profile_points), tau_r)
     write_tables(tables)
     for idx, sol in enumerate(solutions, start=1):
-        print(
-            f"regime {idx} ({sol.regime.name.lower().replace('_', ' ')}): "
-            f"tau_D - tau_r = {sol.tau_D / sol.tau_W:+.3f} tau_W"
-        )
+        medium = "inverted" if sol.medium.w0 > 0.0 else "absorbing"
+        seed = "weak" if sol.theta_r < 0.5 * math.pi else "strong"
+        print(f"regime {idx} ({medium} {seed} seed): tau_D - tau_r = {sol.tau_D / sol.tau_W:+.3f} tau_W")
     return 0
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from .bloch import bloch_angle
 from .constants import (
     cm2_to_m2,
     cm_per_s_to_m_per_s,
@@ -34,7 +35,7 @@ from .pressure import (
     medium_at_pressure,
     pressure_scan,
 )
-from .superradiance import SuperradianceSolution, solve_from_seed
+from .superradiance import SuperradianceSolution, solve_after_seed
 from .system import SeedPulse, TwoLevelMedium, peak_field_from_intensity
 
 
@@ -246,9 +247,10 @@ def dt_seconds(cfg: RunConfig) -> float:
 
 
 def reference_solution(cfg: RunConfig) -> SuperradianceSolution:
-    """The burst at the anchor pressure, seeded as configured."""
-    cal = calibration(cfg)
-    return solve_from_seed(seed_pulse(cfg), medium_at_pressure(cal, medium_template(cfg), cal.anchor_p))
+    """The burst at the anchor pressure, handed over at the seed's angle theta(tau_r)."""
+    cal, seed = calibration(cfg), seed_pulse(cfg)
+    medium = medium_at_pressure(cal, medium_template(cfg), cal.anchor_p)
+    return solve_after_seed(medium, bloch_angle(seed, medium, seed.tau_r))
 
 
 def scan_pressures(cfg: RunConfig, pressures: Sequence[float]) -> ScanTable:

@@ -28,29 +28,24 @@ than trusted.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import bloch_angle
 from .constants import CONSTANTS, s_to_ps
 from .csvio import finite_columns, write_columns
 from .errors import NumericalError
 from .profiles import sech2_profile
-from .system import SeedPulse, TwoLevelMedium
+from .system import TwoLevelMedium
 
 __all__ = [
     "NoSuperradianceError",
-    "Regime",
-    "classify_regime",
     "characteristic_duration",
     "spontaneous_decay_time",
     "time_delay",
     "SuperradianceSolution",
     "solve_after_seed",
-    "solve_from_seed",
     "peak_power_density",
     "peak_intensity",
     "energy_density",
@@ -64,52 +59,6 @@ __all__ = [
 
 class NoSuperradianceError(ValueError):
     """The medium cannot superradiate (no emitters, or no population imbalance)."""
-
-
-class Regime(enum.IntEnum):
-    """The four qualitative behaviours, indexed by (sign of w0, seed strength).
-
-    An inverted medium (w0 > 0) amplifies: a weak seed (theta_r < pi/2)
-    leaves most energy in the medium and the burst peaks later at tau_D,
-    while a strong seed has already tipped the Bloch vector past the equator
-    and the emission only decays. An absorbing medium (w0 < 0) mirrors this:
-    a weak seed is simply re-emitted in decaying fashion, whereas a strong
-    seed stores pulse energy in the medium, which is then released as a
-    delayed burst.
-    """
-
-    INVERTED_WEAK_SEED = 1
-    INVERTED_STRONG_SEED = 2
-    ABSORBING_WEAK_SEED = 3
-    ABSORBING_STRONG_SEED = 4
-
-
-def _check_handover_angle(theta_r: float) -> None:
-    if not 0.0 < theta_r < math.pi:
-        # Fixed point for any angle a seed of sane strength gives; a huge
-        # angle in fixed point would print some 300 digits.
-        shown = f"{theta_r:.4f}" if abs(theta_r) < 1e6 else f"{theta_r:.4e}"
-        raise ValueError(
-            f"the seed tips the Bloch vector to {shown} rad; "
-            "theta_r must lie strictly inside (0, pi)"
-        )
-
-
-def classify_regime(w0: float, theta_r: float) -> Regime:
-    """Map (w0, theta_r) to one of the four regimes.
-
-    Boundary values w0 = 0 and theta_r in {0, pi/2, pi} are degenerate (no
-    emission, or exactly balanced) and are rejected.
-    """
-    if w0 == 0.0:
-        raise ValueError("w0 = 0 is degenerate: no population imbalance")
-    _check_handover_angle(theta_r)
-    if theta_r == 0.5 * math.pi:
-        raise ValueError("theta_r = pi/2 is the degenerate boundary between regimes")
-    weak = theta_r < 0.5 * math.pi
-    if w0 > 0.0:
-        return Regime.INVERTED_WEAK_SEED if weak else Regime.INVERTED_STRONG_SEED
-    return Regime.ABSORBING_WEAK_SEED if weak else Regime.ABSORBING_STRONG_SEED
 
 
 def characteristic_duration(medium: TwoLevelMedium):
@@ -149,7 +98,14 @@ def time_delay(medium: TwoLevelMedium, theta_r: float):
     logarithmically as theta_r -> 0 or pi. Elementwise in a scan column N.
     The peak in pump time is tau_r + tau_D.
     """
-    _check_handover_angle(theta_r)
+    if not 0.0 < theta_r < math.pi:
+        # Fixed point for any angle a seed of sane strength gives; a huge
+        # angle in fixed point would print some 300 digits.
+        shown = f"{theta_r:.4f}" if abs(theta_r) < 1e6 else f"{theta_r:.4e}"
+        raise ValueError(
+            f"the seed tips the Bloch vector to {shown} rad; "
+            "theta_r must lie strictly inside (0, pi)"
+        )
     tau_w = characteristic_duration(medium)
     # ln tan(pi/4) is 0; special-cased so the midpoint maps to +0.0 exactly.
     log_tan = 0.0 if theta_r == 0.5 * math.pi else math.log(math.tan(0.5 * theta_r))
@@ -169,10 +125,6 @@ class SuperradianceSolution:
     def __post_init__(self) -> None:
         if not self.tau_W > 0.0:
             raise ValueError("tau_W must be positive")
-
-    @property
-    def regime(self) -> Regime:
-        return classify_regime(self.medium.w0, self.theta_r)
 
     def _x(self, t):
         return _branch(self.medium.w0) * (np.asarray(t, dtype=float) - self.tau_D) / self.tau_W
@@ -210,13 +162,14 @@ def peak_intensity(medium: TwoLevelMedium):
 def solve_after_seed(medium: TwoLevelMedium, theta_r: float) -> SuperradianceSolution:
     """Build the burst solution from the handover state, theta_r at t = 0.
 
-    P0 and I0 are positive for every medium that can superradiate, so a
+    time_delay checks theta_r and characteristic_duration checks w0 and N;
+    theta_r = pi/2 peaks at the handover, tau_D = +0.0. P0 and I0 are
+    positive for every medium that can superradiate, so a
     value of 0 or inf means the peak left the floating-point range: that
     raises NumericalError rather than hand on a burst with no signal.
     """
-    classify_regime(medium.w0, theta_r)  # rejects the degenerate w0 and angles
-    tau_w = characteristic_duration(medium)
     tau_d = time_delay(medium, theta_r)
+    tau_w = characteristic_duration(medium)
     p0 = peak_power_density(medium)
     i0 = p0 * medium.L
     if not (0.0 < p0 < math.inf and 0.0 < i0 < math.inf):
@@ -231,11 +184,6 @@ def solve_after_seed(medium: TwoLevelMedium, theta_r: float) -> SuperradianceSol
         tau_D=tau_d,
         P0=p0,
     )
-
-
-def solve_from_seed(pulse: SeedPulse, medium: TwoLevelMedium) -> SuperradianceSolution:
-    """Take the seed's closed-form pulse area at tau_r, then hand over."""
-    return solve_after_seed(medium, bloch_angle(pulse, medium, pulse.tau_r))
 
 
 def energy_density(t, sol: SuperradianceSolution):

@@ -158,6 +158,30 @@ class TestRegimes:
         assert all(a < b for a, b in zip(theta, theta[1:]))
         assert theta[0] < 0.5 * math.pi < theta[-1]
 
+    @pytest.mark.parametrize(
+        "args, lines",
+        [
+            ([], [
+                "regime 1 (inverted weak seed): tau_D - tau_r = +2.440 tau_W",
+                "regime 2 (inverted strong seed): tau_D - tau_r = -0.319 tau_W",
+                "regime 3 (absorbing weak seed): tau_D - tau_r = -2.440 tau_W",
+                "regime 4 (absorbing strong seed): tau_D - tau_r = +0.319 tau_W",
+            ]),
+            (["--set", "w0=-0.1"], [
+                "regime 1 (absorbing weak seed): tau_D - tau_r = -2.440 tau_W",
+                "regime 2 (absorbing strong seed): tau_D - tau_r = +0.319 tau_W",
+                "regime 3 (inverted weak seed): tau_D - tau_r = +2.440 tau_W",
+                "regime 4 (inverted strong seed): tau_D - tau_r = -0.319 tau_W",
+            ]),
+        ],
+        ids=["inverted", "absorbing"],
+    )
+    def test_stdout_names_each_panel(self, tmp_path, capsys, args, lines):
+        """Each panel is named from its own medium and angle, in build order: the
+        configured medium first, so with w0 < 0 panel 1 is the absorbing weak seed."""
+        assert main(["regimes", *args, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr() == ("\n".join(lines) + "\n", "")
+
     def test_zero_seed_message(self, tmp_path, capsys):
         assert main(["regimes", "--set", "seed_intensity_mw_cm2=0", "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == (

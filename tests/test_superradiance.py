@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from n2sr.config import reference_solution
 from n2sr.constants import CONSTANTS, s_to_ps
 from n2sr.errors import NumericalError
 from n2sr.superradiance import (
     NoSuperradianceError,
-    Regime,
     SuperradianceSolution,
     characteristic_duration,
-    classify_regime,
     emitted_field_envelope,
     emitted_intensity,
     emitted_power_density,
@@ -24,7 +23,6 @@ from n2sr.superradiance import (
     peak_intensity,
     peak_power_density,
     solve_after_seed,
-    solve_from_seed,
     spontaneous_decay_time,
     time_delay,
     write_profile_csv,
@@ -130,33 +128,30 @@ class TestTimeDelay:
 
 class TestRegimes:
     @pytest.mark.parametrize(
-        "w0, theta_r, expected",
-        [
-            (0.1, 0.057 * math.pi, Regime.INVERTED_WEAK_SEED),
-            (0.1, 0.6 * math.pi, Regime.INVERTED_STRONG_SEED),
-            (-0.1, 0.057 * math.pi, Regime.ABSORBING_WEAK_SEED),
-            (-0.1, 0.6 * math.pi, Regime.ABSORBING_STRONG_SEED),
-        ],
-    )
-    def test_classification(self, w0, theta_r, expected):
-        assert classify_regime(w0, theta_r) is expected
-
-    @pytest.mark.parametrize(
         "w0, theta_r",
-        [(0.0, 0.3 * math.pi), (0.1, 0.0), (0.1, math.pi), (0.1, 0.5 * math.pi)],
+        [(0.0, 0.3 * math.pi), (0.1, 0.0), (0.1, math.pi)],
     )
-    def test_degenerate_rejected(self, w0, theta_r):
-        with pytest.raises(ValueError):
-            classify_regime(w0, theta_r)
+    def test_degenerate_rejected(self, anchor_medium, w0, theta_r):
+        medium = dataclasses.replace(anchor_medium, w0=w0)
+        with pytest.raises(NoSuperradianceError if w0 == 0.0 else ValueError):
+            solve_after_seed(medium, theta_r)
+
+    @pytest.mark.parametrize("w0_sign", [1.0, -1.0])
+    def test_quarter_turn_peaks_at_handover(self, anchor_medium, w0_sign):
+        """theta_r = pi/2 is accepted on either branch, as time_delay and the scan accept it."""
+        medium = dataclasses.replace(anchor_medium, w0=w0_sign * anchor_medium.w0)
+        tau_d = solve_after_seed(medium, 0.5 * math.pi).tau_D
+        assert tau_d == time_delay(medium, 0.5 * math.pi) == 0.0
+        assert math.copysign(1.0, tau_d) == 1.0
 
     def test_delayed_peak_flags(self, anchor_medium):
-        """The burst peaks after the handover in exactly the two delayed-peak regimes."""
-        delayed = {Regime.INVERTED_WEAK_SEED, Regime.ABSORBING_STRONG_SEED}
+        """The burst peaks after the handover exactly when sign(w0) (pi/2 - theta_r) > 0:
+        the inverted medium with a weak seed and the absorbing one with a strong seed."""
         for w0 in (anchor_medium.w0, -anchor_medium.w0):
             medium = dataclasses.replace(anchor_medium, w0=w0)
             for theta_r in (0.057 * math.pi, 0.6 * math.pi):
                 sol = solve_after_seed(medium, theta_r)
-                assert (sol.tau_D > 0.0) == (sol.regime in delayed)
+                assert (sol.tau_D > 0.0) == (math.copysign(1.0, w0) * (0.5 * math.pi - theta_r) > 0.0)
 
 
 class TestBlochAngleClosedForm:
@@ -191,13 +186,12 @@ class TestBlochAngleClosedForm:
 
 class TestSolution:
     def test_anchor_solution(self, sol8, anchor_medium):
-        assert sol8.regime is Regime.INVERTED_WEAK_SEED
         assert sol8.tau_W == pytest.approx(1.666e-12, rel=1e-12)
         assert TAU_R + sol8.tau_D == pytest.approx(TAU_D8, rel=1e-12)
         assert sol8.P0 == pytest.approx(P0_8, rel=1e-12)
 
-    def test_solve_from_seed_matches_two_stage(self, seed, anchor_medium):
-        sol = solve_from_seed(seed, anchor_medium)
+    def test_reference_solution_matches_two_stage(self, cfg):
+        sol = reference_solution(cfg)
         assert sol.theta_r == pytest.approx(THETA_R, rel=1e-14)
         assert TAU_R + sol.tau_D == pytest.approx(TAU_D8, rel=1e-12)
 
@@ -225,7 +219,6 @@ class TestSolution:
     def test_population_difference_negative_branch(self, anchor_medium):
         flipped = dataclasses.replace(anchor_medium, w0=-anchor_medium.w0)
         sol = solve_after_seed(flipped, 0.7 * math.pi)
-        assert sol.regime is Regime.ABSORBING_STRONG_SEED
         t = sol.time_grid(window_tau_w=10.0, n=101)
         got = sol.population_difference(t)
         want = flipped.w0 * np.cos(sol.bloch_angle(t))

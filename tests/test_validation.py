@@ -41,7 +41,11 @@ def test_all_checks_pass_with_defaults(cfg):
 
 def rebind(monkeypatch, name, original, replacement, only=None):
     """Bind replacement in place of original in every n2sr module that binds
-    it under name, or only in the modules named in `only`."""
+    it under name, or only in the modules named in `only`, each of which must
+    bind it: a row must not quietly stop reaching the code it names."""
+    if only is not None:
+        missing = [m for m in only if getattr(sys.modules.get(m), name, None) is not original]
+        assert missing == [], f"{name} is not bound in {missing}"
     for module in list(sys.modules.values()):
         if module.__name__.startswith("n2sr") and getattr(module, name, None) is original:
             if only is None or module.__name__ in only:
@@ -122,7 +126,7 @@ DEFECTS = [
     pytest.param(wrapped(bloch.integrate_bloch_rwa, with_u), {"bloch-conservation"}, id="u"),
     # The angle the burst and the scan are built from, not the seed check's own.
     pytest.param(
-        scaled(bloch.bloch_angle, 1.001, only=("n2sr.superradiance", "n2sr.pressure")),
+        scaled(bloch.bloch_angle, 1.001, only=("n2sr.config", "n2sr.pressure")),
         {"bloch-closed-form"}, id="theta_r",
     ),
     pytest.param(
@@ -544,7 +548,7 @@ class TestHandover:
         assert not closed_form.passed
         assert 1.5e-5 < handover < 2e-5
 
-    @pytest.mark.parametrize("module", ["n2sr.superradiance", "n2sr.pressure"])
+    @pytest.mark.parametrize("module", ["n2sr.config", "n2sr.pressure"])
     def test_scaled_angle_fails_validate(self, tmp_path, monkeypatch, capsys, module):
         """The angle the burst or the scan is built from, not the seed check's own."""
         original = bloch.bloch_angle
