@@ -8,8 +8,9 @@ the absorbing branch (w0 = -0.1) and for bursts far shorter than the seed
 stage (anchor tau_W = 1e-20 ps, where the pump-time columns tau_r + tau_D
 must still round as before), fit over five synthetic traces, and fit over one
 trace the fitter stops on without converging, so the gate also runs its
-rejected-step path (the traces are written first, under OUTDIR/traces). Then one line per file is printed,
-sorted by path:
+rejected-step path (the traces are written first, under OUTDIR/traces). What
+each run prints to stdout is kept beside its outputs as stdout.txt. Then one
+line per file is printed, sorted by path:
 
     sha256  rows  file
 
@@ -82,10 +83,12 @@ def run_all(outdir: Path) -> None:
         "fit-stuck": ["fit", stuck],
     }
     for name, argv in runs.items():
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = sr([*argv, "--out", str(outdir / name)])
         if code != 0:
             raise SystemExit(f"sr {argv[0]} exited {code}: {err.getvalue().strip()}")
+        (outdir / name / "stdout.txt").write_text(out.getvalue())
 
 
 def listing(outdir: Path) -> list[str]:

@@ -293,7 +293,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ArithmeticError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

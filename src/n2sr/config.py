@@ -3,7 +3,8 @@
 Keys are globally unique, so sections in the file are cosmetic; a bare
 key=value file works too. All values are validated by constructing the
 underlying domain objects at parse time. The builders below are the one
-place where the lab-unit keys become SI objects.
+place where the lab-unit keys become SI objects; a key with no converter
+in n2sr.constants is scaled by its factor where it is read.
 """
 
 from __future__ import annotations
@@ -18,13 +19,9 @@ from typing import Sequence
 
 from .bloch import bloch_angle
 from .constants import (
-    cm2_to_m2,
-    cm_per_s_to_m_per_s,
     dipole_debye_to_si,
-    mm_to_m,
     mw_per_cm2_to_w_per_m2,
     ps_to_s,
-    um_to_m,
     wavelength_to_angular_frequency,
 )
 from .pressure import (
@@ -210,7 +207,7 @@ def medium_template(cfg: RunConfig) -> TwoLevelMedium:
         omega=wavelength_to_angular_frequency(cfg.lambda_nm * 1e-9),
         mu=dipole_debye_to_si(cfg.dipole_debye),
         N=0.0,
-        L=mm_to_m(cfg.length_mm),
+        L=cfg.length_mm * 1e-3,
         w0=cfg.w0,
     )
 
@@ -235,8 +232,8 @@ def calibration(cfg: RunConfig) -> DensityCalibration:
 
 def dephasing_parameters(cfg: RunConfig) -> DephasingParameters:
     return DephasingParameters(
-        sigma=cm2_to_m2(cfg.sigma_cm2),
-        v_e=cm_per_s_to_m_per_s(cfg.v_e_cm_s),
+        sigma=cfg.sigma_cm2 * 1e-4,
+        v_e=cfg.v_e_cm_s * 1e-2,
         ionization_fraction=cfg.ionization_fraction,
         temperature=cfg.temperature_k,
     )
@@ -261,7 +258,7 @@ def scan_pressures(cfg: RunConfig, pressures: Sequence[float]) -> ScanTable:
         medium_template(cfg),
         pressures,
         dephasing=dephasing_parameters(cfg),
-        radius=um_to_m(cfg.radius_um),
+        radius=cfg.radius_um * 1e-6,
     )
 
 

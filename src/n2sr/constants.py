@@ -1,8 +1,11 @@
-"""Physical constants and the unit conversions used at the package boundary.
+"""Physical constants and the unit conversions worth a name of their own.
 
-Everything downstream works in SI. Lab-friendly inputs (debye, mbar, ps, mm,
-MW/cm^2) are converted once, here, and converted back only when writing
-output files.
+Everything downstream works in SI. The constant table lives here, with the
+three converters that check their input and read the table (debye,
+wavelength, pressure) and the plain factors with several callers (ps,
+MW/cm^2, m^-3). A plain factor with one caller is written as a product
+where it is used: the lab-unit keys in n2sr.config, mbar and W/cm^2 in
+n2sr.pressure.
 """
 
 from __future__ import annotations
@@ -17,23 +20,14 @@ from .errors import NumericalError
 __all__ = [
     "PhysicalConstants",
     "CONSTANTS",
-    "DEBYE_SI",
     "dipole_debye_to_si",
     "wavelength_to_angular_frequency",
     "pressure_to_number_density",
-    "mbar_to_pascal",
     "ps_to_s",
     "s_to_ps",
-    "mm_to_m",
-    "um_to_m",
-    "cm2_to_m2",
-    "cm_per_s_to_m_per_s",
     "mw_per_cm2_to_w_per_m2",
-    "w_per_m2_to_w_per_cm2",
     "per_m3_to_per_cm3",
 ]
-
-DEBYE_SI = 3.33564e-30  # C m per debye
 
 
 @dataclass(frozen=True)
@@ -45,7 +39,7 @@ class PhysicalConstants:
     eps0: float = 8.8541878128e-12  # F/m
     mu0: float = 1.25663706212e-6   # H/m
     kB: float = 1.380649e-23        # J/K
-    debye: float = DEBYE_SI         # C m per debye
+    debye: float = 3.33564e-30      # C m per debye
 
     def __post_init__(self) -> None:
         for name in ("hbar", "c", "eps0", "mu0", "kB", "debye"):
@@ -62,7 +56,7 @@ def dipole_debye_to_si(mu_debye: float) -> float:
     """Transition dipole moment, debye -> C m."""
     if mu_debye < 0.0:
         raise ValueError("dipole moment must be non-negative")
-    return mu_debye * DEBYE_SI
+    return mu_debye * CONSTANTS.debye
 
 
 def wavelength_to_angular_frequency(wavelength_m: float) -> float:
@@ -89,10 +83,6 @@ def pressure_to_number_density(pressure_pa, temperature_k: float):
     return pressure_pa / kt
 
 
-def mbar_to_pascal(p_mbar: float) -> float:
-    return p_mbar * 100.0
-
-
 def ps_to_s(t_ps: float) -> float:
     return t_ps * 1e-12
 
@@ -101,28 +91,8 @@ def s_to_ps(t_s: float) -> float:
     return t_s * 1e12
 
 
-def mm_to_m(x_mm: float) -> float:
-    return x_mm * 1e-3
-
-
-def um_to_m(x_um: float) -> float:
-    return x_um * 1e-6
-
-
-def cm2_to_m2(a_cm2: float) -> float:
-    return a_cm2 * 1e-4
-
-
-def cm_per_s_to_m_per_s(v: float) -> float:
-    return v * 1e-2
-
-
 def mw_per_cm2_to_w_per_m2(i_mw_cm2: float) -> float:
     return i_mw_cm2 * 1e10
-
-
-def w_per_m2_to_w_per_cm2(i_w_m2: float) -> float:
-    return i_w_m2 * 1e-4
 
 
 def per_m3_to_per_cm3(n_m3: float) -> float:

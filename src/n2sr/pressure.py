@@ -20,11 +20,9 @@ import numpy as np
 from .bloch import bloch_angle
 from .constants import (
     CONSTANTS,
-    mbar_to_pascal,
     per_m3_to_per_cm3,
     pressure_to_number_density,
     s_to_ps,
-    w_per_m2_to_w_per_cm2,
 )
 from .csvio import finite_columns, write_columns
 from .errors import NumericalError
@@ -32,7 +30,6 @@ from .superradiance import characteristic_duration, peak_intensity, time_delay
 from .system import SeedPulse, TwoLevelMedium
 
 __all__ = [
-    "BelowThresholdError",
     "DensityCalibration",
     "DephasingParameters",
     "ScanTable",
@@ -51,10 +48,6 @@ __all__ = [
 # Published linear-density slope for this transition (cm^-3 per mbar), kept
 # for side-by-side comparison with the anchor-calibrated value.
 REFERENCE_DENSITY_SLOPE_PER_CM3_MBAR = 0.228e16
-
-
-class BelowThresholdError(ValueError):
-    """Requested pressure is below the superradiance threshold p0."""
 
 
 @dataclass(frozen=True)
@@ -162,7 +155,7 @@ def density_from_pressure(cal: DensityCalibration, p_mbar):
     """Emitter density N = k (p - p0) in m^-3, elementwise for an array p; a pressure
     below threshold is an error, and an N that overflows a NumericalError naming it."""
     if np.less(p_mbar, cal.p0).any():
-        raise BelowThresholdError(
+        raise ValueError(
             f"pressure {np.min(p_mbar)} mbar is below the superradiance threshold {cal.p0} mbar"
         )
     with np.errstate(over="ignore"):
@@ -214,7 +207,7 @@ def dephasing_time(p_mbar, params: DephasingParameters):
     if not np.greater(p_mbar, 0.0).all():
         raise ValueError("pressure must be positive")
     with np.errstate(over="ignore"):
-        n = pressure_to_number_density(mbar_to_pascal(p_mbar), params.temperature)
+        n = pressure_to_number_density(p_mbar * 100.0, params.temperature)
         rate = params.sigma * params.ionization_fraction * n * params.v_e
     if not np.all((rate > 0.0) & (rate < math.inf)):
         if not np.greater(rate, 0.0).all():
@@ -273,7 +266,7 @@ def pressure_scan(
     p = np.array(pressures, dtype=float)
     below = np.flatnonzero(~(p > cal.p0))
     if below.size:
-        raise BelowThresholdError(
+        raise ValueError(
             f"pressure {pressures[below[0]]} mbar does not exceed the threshold {cal.p0} mbar"
         )
     if not radius > 0.0:
@@ -332,7 +325,7 @@ def write_scan_csv(path, scan: ScanTable, tau_r: float) -> None:
     write_columns(path, SCAN_CSV_HEADER, finite_columns("scan", SCAN_CSV_HEADER, lambda: [
         scan.p_mbar, per_m3_to_per_cm3(scan.N), s_to_ps(scan.tau_W), s_to_ps(tau_r + scan.tau_D),
         # theta_r is one value: format it once, not once per row.
-        [repr(scan.theta_r)] * len(scan), w_per_m2_to_w_per_cm2(scan.I_peak),
+        [repr(scan.theta_r)] * len(scan), scan.I_peak * 1e-4,
         scan.I_peak_norm, scan.E_total, scan.E_total_norm, scan.E_total_integral,
         s_to_ps(scan.dephasing), scan.validity_margin,
     ], lambda i: f"p = {scan.p_mbar[i].item()!r} mbar"))

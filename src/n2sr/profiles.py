@@ -21,7 +21,6 @@ from .csvio import write_columns
 
 __all__ = [
     "NotAPulseError",
-    "TraceFormatError",
     "TemporalTrace",
     "SechFit",
     "PulseSummary",
@@ -52,10 +51,6 @@ FIT_MAX_ITER = 200
 
 class NotAPulseError(ValueError):
     """The trace has no usable pulse (peak on the boundary, missing crossings...)."""
-
-
-class TraceFormatError(ValueError):
-    """A trace file does not conform to the expected CSV layout."""
 
 
 @dataclass(frozen=True)
@@ -348,7 +343,7 @@ def _comment(path: Path, lineno: int, line: str, pressure: Optional[float]) -> O
     try:
         return float(m.group(1))
     except ValueError:
-        raise TraceFormatError(f"{path}:{lineno}: unreadable pressure_mbar value") from None
+        raise ValueError(f"{path}:{lineno}: unreadable pressure_mbar value") from None
 
 
 def _walk_rows(path: Path, lines: list[str], start: int, pressure: Optional[float]):
@@ -368,11 +363,11 @@ def _walk_rows(path: Path, lines: list[str], start: int, pressure: Optional[floa
             continue
         cols = line.split(",")
         if len(cols) != 2:
-            raise TraceFormatError(f"{path}:{lineno}: expected two comma-separated fields")
+            raise ValueError(f"{path}:{lineno}: expected two comma-separated fields")
         try:
             values.extend(map(float, cols))
         except ValueError:
-            raise TraceFormatError(f"{path}:{lineno}: unreadable numeric field") from None
+            raise ValueError(f"{path}:{lineno}: unreadable numeric field") from None
     return pressure, np.array(values, dtype=float)
 
 
@@ -391,7 +386,7 @@ def read_trace_csv(path) -> TemporalTrace:
     try:
         text = path.read_text()
     except UnicodeDecodeError as exc:
-        raise TraceFormatError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
     lines = text.split("\n")
     pressure = None
     for i, raw in enumerate(lines):
@@ -402,10 +397,10 @@ def read_trace_csv(path) -> TemporalTrace:
             pressure = _comment(path, i + 1, line, pressure)
             continue
         if [c.strip() for c in line.split(",")] != TRACE_CSV_HEADER.split(","):
-            raise TraceFormatError(f"{path}:{i + 1}: expected header '{TRACE_CSV_HEADER}'")
+            raise ValueError(f"{path}:{i + 1}: expected header '{TRACE_CSV_HEADER}'")
         break
     else:
-        raise TraceFormatError(f"{path}: missing '{TRACE_CSV_HEADER}' header")
+        raise ValueError(f"{path}: missing '{TRACE_CSV_HEADER}' header")
 
     body = lines[i + 1:]
     body_start = sum(map(len, lines[:i + 1])) + i + 1
@@ -421,14 +416,14 @@ def read_trace_csv(path) -> TemporalTrace:
         pressure, values = _walk_rows(path, lines, i + 1, pressure)
         rows = values.reshape(-1, 2)
     if not rows.size:
-        raise TraceFormatError(f"{path}: no data rows")
+        raise ValueError(f"{path}: no data rows")
     try:
         return TemporalTrace(
             t=ps_to_s(rows[:, 0]), intensity=rows[:, 1].copy(), pressure=pressure,
             label=path.stem,
         )
     except ValueError as exc:
-        raise TraceFormatError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_trace_csv(path, trace: TemporalTrace) -> None:

@@ -40,7 +40,6 @@ from .profiles import sech2_profile
 from .system import TwoLevelMedium
 
 __all__ = [
-    "NoSuperradianceError",
     "characteristic_duration",
     "spontaneous_decay_time",
     "time_delay",
@@ -57,10 +56,6 @@ __all__ = [
 ]
 
 
-class NoSuperradianceError(ValueError):
-    """The medium cannot superradiate (no emitters, or no population imbalance)."""
-
-
 def characteristic_duration(medium: TwoLevelMedium):
     """Collective emission time scale tau_W = 4 hbar / (mu0 c omega mu^2 |n| L), n = w0 N.
 
@@ -71,7 +66,7 @@ def characteristic_duration(medium: TwoLevelMedium):
     denom = k.mu0 * k.c * medium.omega * medium.mu**2 * (abs(medium.n) * medium.L)
     if not np.greater(denom, 0.0).all():
         if not np.greater(medium.N, 0.0).all() or medium.w0 == 0.0:
-            raise NoSuperradianceError("collective emission requires N > 0 and w0 != 0")
+            raise ValueError("collective emission requires N > 0 and w0 != 0")
         raise NumericalError(
             "tau_W is not finite: its denominator mu0 c omega mu^2 |w0| N L is 0 "
             f"at N = {float(np.min(medium.N))!r} m^-3"

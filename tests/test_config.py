@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from n2sr import config
 from n2sr.config import (
     MAX_GRID_POINTS,
     ConfigError,
@@ -23,7 +24,7 @@ from n2sr.config import (
 )
 from n2sr.bloch import bloch_angle
 from n2sr.cli import main
-from n2sr.constants import ps_to_s, um_to_m
+from n2sr.constants import ps_to_s
 from n2sr.pressure import pressure_scan
 from n2sr.superradiance import time_delay
 
@@ -256,15 +257,45 @@ def test_reference_solution_is_the_anchor_burst(cfg, seed, anchor_medium):
 
 
 def test_scan_pressures_uses_the_configured_radius():
-    """50 um is um_to_m(50.0), not pressure_scan's 50e-6 default."""
+    """50 um is 50.0 * 1e-6 m, not pressure_scan's 50e-6 default."""
     cfg = RunConfig()
     scan = scan_pressures(cfg, [8.0])
     direct = pressure_scan(
         calibration(cfg), seed_pulse(cfg), medium_template(cfg), [8.0],
-        dephasing=dephasing_parameters(cfg), radius=um_to_m(cfg.radius_um),
+        dephasing=dephasing_parameters(cfg), radius=cfg.radius_um * 1e-6,
     )
     assert scan.E_total.tolist() == direct.E_total.tolist()
     assert scan.theta_r == direct.theta_r
+
+
+def scan_radius(cfg, monkeypatch):
+    """The radius in m that scan_pressures hands to pressure_scan."""
+    seen = []
+
+    def spy(*args, radius, **kwargs):
+        seen.append(radius)
+        return pressure_scan(*args, radius=radius, **kwargs)
+
+    monkeypatch.setattr(config, "pressure_scan", spy)
+    scan_pressures(cfg, [8.0])
+    return seen[0]
+
+
+SI_VALUE = {  # the SI object a builder makes of each one-caller lab-unit key
+    "length_mm": lambda cfg, monkeypatch: medium_template(cfg).L,
+    "radius_um": scan_radius,
+    "sigma_cm2": lambda cfg, monkeypatch: dephasing_parameters(cfg).sigma,
+    "v_e_cm_s": lambda cfg, monkeypatch: dephasing_parameters(cfg).v_e,
+}
+
+
+@pytest.mark.parametrize(
+    "key, value, expected",
+    [("length_mm", 10.0, 0.01), ("radius_um", 50.0, 50e-6), ("sigma_cm2", 1.0, 1e-4), ("v_e_cm_s", 1e8, 1e6)],
+)
+def test_lab_unit_key_becomes_si(monkeypatch, key, value, expected):
+    cfg = dataclasses.replace(RunConfig(), **{key: value})
+    assert SI_VALUE[key](cfg, monkeypatch) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 def test_derived_builders():

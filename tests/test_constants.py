@@ -1,24 +1,20 @@
+import copy
 import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from n2sr import config, constants
 from n2sr.constants import (
     CONSTANTS,
     PhysicalConstants,
-    cm2_to_m2,
-    cm_per_s_to_m_per_s,
     dipole_debye_to_si,
-    mbar_to_pascal,
-    mm_to_m,
     mw_per_cm2_to_w_per_m2,
     per_m3_to_per_cm3,
     pressure_to_number_density,
     ps_to_s,
     s_to_ps,
-    um_to_m,
-    w_per_m2_to_w_per_cm2,
     wavelength_to_angular_frequency,
 )
 
@@ -69,6 +65,16 @@ def test_dipole_conversion():
     assert dipole_debye_to_si(1.7) == pytest.approx(5.670588e-30, rel=1e-6)
 
 
+def test_dipole_reads_the_debye_of_the_constant_table(monkeypatch):
+    # Set on a copy, as the defect matrix edits a constant: the debye has one home.
+    cfg = config.RunConfig()
+    before = config.medium_template(cfg).mu
+    edited = copy.copy(constants.CONSTANTS)
+    object.__setattr__(edited, "debye", edited.debye * (1.0 + 1e-6))
+    monkeypatch.setattr(constants, "CONSTANTS", edited)
+    assert config.medium_template(cfg).mu == pytest.approx(before * (1.0 + 1e-6), rel=1e-15, abs=0.0)
+
+
 def test_angular_frequency_391nm():
     omega = wavelength_to_angular_frequency(391e-9)
     assert omega == pytest.approx(4.8176e15, rel=1e-4)
@@ -92,18 +98,14 @@ def test_density_scales_inversely_with_temperature():
 @pytest.mark.parametrize(
     "fwd, value, expected",
     [
-        (mbar_to_pascal, 1.0, 100.0),
         (ps_to_s, 1.0, 1e-12),
-        (mm_to_m, 10.0, 0.01),
-        (um_to_m, 50.0, 50e-6),
-        (cm2_to_m2, 1.0, 1e-4),
-        (cm_per_s_to_m_per_s, 1e8, 1e6),
         (mw_per_cm2_to_w_per_m2, 10.0, 1e11),
         (per_m3_to_per_cm3, 1e6, 1.0),
     ],
 )
 def test_unit_factors(fwd, value, expected):
-    assert fwd(value) == pytest.approx(expected, rel=1e-15)
+    # abs=0: approx's default abs of 1e-12 would pass any ps_to_s(1.0) below 2e-12.
+    assert fwd(value) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 finite = st.floats(min_value=1e-12, max_value=1e12, allow_nan=False, allow_infinity=False)
@@ -122,6 +124,6 @@ def test_dipole_roundtrip(x):
 
 @given(finite)
 def test_intensity_roundtrip(x):
-    assert w_per_m2_to_w_per_cm2(mw_per_cm2_to_w_per_m2(x)) == pytest.approx(
+    assert mw_per_cm2_to_w_per_m2(x) * 1e-4 == pytest.approx(
         1e6 * x, rel=1e-12
     )

@@ -12,7 +12,7 @@ import pytest
 from n2sr import csvio
 from n2sr.bloch import integrate_bloch_rwa
 from n2sr.cli import main
-from n2sr.constants import per_m3_to_per_cm3, ps_to_s, s_to_ps, w_per_m2_to_w_per_cm2
+from n2sr.constants import per_m3_to_per_cm3, ps_to_s, s_to_ps
 from n2sr.csvio import write_columns, write_tables
 from n2sr.pressure import SCAN_CSV_HEADER, pressure_scan, write_scan_csv
 from n2sr.profiles import (
@@ -150,7 +150,7 @@ def test_scan(tmp_path, rng, cal, seed, template, dephasing):
     expected = SCAN_CSV_HEADER + "\n" + "".join(
         f"{float(scan.p_mbar[i])!r},{per_m3_to_per_cm3(float(scan.N[i]))!r},"
         f"{s_to_ps(float(scan.tau_W[i]))!r},{s_to_ps(seed.tau_r + float(scan.tau_D[i]))!r},"
-        f"{float(scan.theta_r)!r},{w_per_m2_to_w_per_cm2(float(scan.I_peak[i]))!r},"
+        f"{float(scan.theta_r)!r},{float(scan.I_peak[i]) * 1e-4!r},"
         f"{float(scan.I_peak_norm[i])!r},{float(scan.E_total[i])!r},"
         f"{float(scan.E_total_norm[i])!r},{float(scan.E_total_integral[i])!r},"
         f"{s_to_ps(float(scan.dephasing[i]))!r},{float(scan.validity_margin[i])!r}\n"

@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from n2sr.constants import CONSTANTS, per_m3_to_per_cm3, ps_to_s, s_to_ps
+from n2sr.constants import CONSTANTS, per_m3_to_per_cm3, pressure_to_number_density, ps_to_s, s_to_ps
 from n2sr.errors import NumericalError
 from n2sr.pressure import (
     REFERENCE_DENSITY_SLOPE_PER_CM3_MBAR,
-    BelowThresholdError,
     DensityCalibration,
     calibrate_density_scale,
     dephasing_time,
@@ -68,7 +67,7 @@ class TestCalibration:
         assert n8 - n6 == pytest.approx(n10 - n8, rel=1e-12)
 
     def test_below_threshold_rejected(self, cal):
-        with pytest.raises(BelowThresholdError):
+        with pytest.raises(ValueError, match=r"^pressure 2\.0 mbar is below the superradiance threshold 2\.5 mbar$"):
             density_from_pressure(cal, 2.0)
 
     def test_bad_calibration_inputs(self, template):
@@ -123,6 +122,12 @@ class TestDephasing:
         assert tau2 == pytest.approx(2.0709734999999997e-10, rel=1e-12)
         # the ~200 ps figure sits inside the +-10% window
         assert abs(tau2 - 200e-12) / tau2 < 0.10
+
+    def test_pressure_is_read_in_mbar(self, dephasing):
+        """1 mbar is 100 Pa in the ideal-gas density."""
+        n = pressure_to_number_density(100.0, dephasing.temperature)
+        rate = dephasing.sigma * dephasing.ionization_fraction * n * dephasing.v_e
+        assert dephasing_time(1.0, dephasing) == pytest.approx(1.0 / rate, rel=1e-15, abs=0.0)
 
     def test_halving_pressure_doubles_time(self, dephasing):
         assert dephasing_time(10.0, dephasing) == 2.0 * dephasing_time(20.0, dephasing)
@@ -249,9 +254,9 @@ class TestScan:
             assert hi / lo == pytest.approx(ratio, rel=1e-12)
 
     def test_below_threshold_pressure_rejected(self, cal, seed, template, dephasing):
-        with pytest.raises(BelowThresholdError):
+        with pytest.raises(ValueError, match=r"^pressure 2\.0 mbar does not exceed the threshold 2\.5 mbar$"):
             pressure_scan(cal, seed, template, [2.0, 8.0], dephasing)
-        with pytest.raises(BelowThresholdError):
+        with pytest.raises(ValueError, match=r"^pressure 2\.5 mbar does not exceed the threshold 2\.5 mbar$"):
             pressure_scan(cal, seed, template, [cal.p0], dephasing)
 
     def test_single_pressure(self, cal, seed, template, dephasing):
@@ -371,5 +376,5 @@ class TestColumnarScan:
         p = np.array([3.0, 8.0])
         scalar = [density_from_pressure(cal, x) for x in (3.0, 8.0)]
         assert density_from_pressure(cal, p).tolist() == scalar
-        with pytest.raises(BelowThresholdError, match="2.0 mbar"):
+        with pytest.raises(ValueError, match=r"^pressure 2\.0 mbar is below the superradiance threshold 2\.5 mbar$"):
             density_from_pressure(cal, np.array([8.0, 2.0]))

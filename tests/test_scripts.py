@@ -42,6 +42,10 @@ def test_golden_outputs_lists_every_output(tmp_path, capsys):
     ):
         assert name in files
     assert not any(name.endswith("run-manifest.txt") for name in files)
+    # What each of the nine runs printed is pinned with its files.
+    runs = sorted({name.split("/")[0] for name in files} - {"traces"})
+    assert len(runs) == 9
+    assert all(f"{run}/stdout.txt" in files for run in runs)
     rows = {name: int(line.split("  ")[1]) for name, line in zip(files, lines)}
     assert rows["pressure-scan-list/pressure_scan.csv"] == 12  # header and 11 pressures
     assert rows["fit/fits.csv"] == 6  # header and five traces

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from n2sr.config import reference_solution
 from n2sr.constants import CONSTANTS, s_to_ps
 from n2sr.errors import NumericalError
 from n2sr.superradiance import (
-    NoSuperradianceError,
     SuperradianceSolution,
     characteristic_duration,
     emitted_field_envelope,
@@ -85,9 +85,10 @@ class TestTimescales:
         assert characteristic_duration(flipped) == characteristic_duration(anchor_medium)
 
     def test_no_emission_without_emitters(self, template, anchor_medium):
-        with pytest.raises(NoSuperradianceError):
+        message = r"^collective emission requires N > 0 and w0 != 0$"
+        with pytest.raises(ValueError, match=message):
             characteristic_duration(template)  # N = 0
-        with pytest.raises(NoSuperradianceError):
+        with pytest.raises(ValueError, match=message):
             characteristic_duration(dataclasses.replace(anchor_medium, w0=0.0))
 
 
@@ -133,7 +134,11 @@ class TestRegimes:
     )
     def test_degenerate_rejected(self, anchor_medium, w0, theta_r):
         medium = dataclasses.replace(anchor_medium, w0=w0)
-        with pytest.raises(NoSuperradianceError if w0 == 0.0 else ValueError):
+        message = (
+            "collective emission requires N > 0 and w0 != 0" if w0 == 0.0 else
+            f"the seed tips the Bloch vector to {theta_r:.4f} rad; theta_r must lie strictly inside (0, pi)"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             solve_after_seed(medium, theta_r)
 
     @pytest.mark.parametrize("w0_sign", [1.0, -1.0])
