@@ -2,15 +2,16 @@
 
     python scripts/golden_outputs.py OUTDIR
 
-Each run writes into its own subdirectory of OUTDIR: seed-phase, regimes,
-validate, pressure-scan over the default pressures, over a second list, on
-the absorbing branch (w0 = -0.1) and for bursts far shorter than the seed
-stage (anchor tau_W = 1e-20 ps, where the pump-time columns tau_r + tau_D
-must still round as before), fit over five synthetic traces, and fit over one
-trace the fitter stops on without converging, so the gate also runs its
-rejected-step path (the traces are written first, under OUTDIR/traces). What
-each run prints to stdout is kept beside its outputs as stdout.txt. Then one
-line per file is printed, sorted by path:
+Each run writes into its own subdirectory of OUTDIR: seed-phase on the
+default config and on the absorbing branch (w0 = -0.1, where v and w change
+sign), regimes, validate, pressure-scan over the default pressures, over a
+second list, on the absorbing branch and for bursts far shorter than the
+seed stage (anchor tau_W = 1e-20 ps, where the pump-time columns tau_r +
+tau_D must still round as before), fit over five synthetic traces, and fit
+over one trace the fitter stops on without converging, so the gate also runs
+its rejected-step path (the traces are written first, under OUTDIR/traces).
+What each run prints to stdout is kept beside its outputs as stdout.txt.
+Then one line per file is printed, sorted by path:
 
     sha256  rows  file
 
@@ -73,6 +74,7 @@ def run_all(outdir: Path) -> None:
     stuck = write_stuck_trace(outdir / "traces")
     runs = {
         "seed-phase": ["seed-phase"],
+        "seed-phase-absorbing": ["seed-phase", "--set", "w0=-0.1"],
         "regimes": ["regimes"],
         "validate": ["validate"],
         "pressure-scan": ["pressure-scan"],

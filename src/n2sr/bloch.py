@@ -8,9 +8,10 @@ with instantaneous Rabi frequency Omega(t) = mu E0 f(t) / hbar. Starting
 from (0, 0, w0) the solution is a pure rotation in the v-w plane through the
 accumulated pulse area theta(t) = (mu E0 / hbar) * integral of f. For the
 seed's Gaussian envelope that integral is an erf (SeedPulse.envelope_area),
-which bloch_angle evaluates. seed_trajectory, the exact solution on a time
-grid, is what `sr seed-phase` writes; integrate_bloch_rwa steps the
-equations with RK4 and is the oracle `sr validate` checks it against.
+which bloch_angle evaluates. u stays 0, so a trajectory holds (v, w) and
+theta only. seed_trajectory, the exact solution on a time grid, is what
+`sr seed-phase` writes; integrate_bloch_rwa steps the equations with RK4 and
+is the oracle `sr validate` checks seed_trajectory against.
 """
 
 from __future__ import annotations
@@ -41,31 +42,31 @@ PHASE_TOLERANCE = 1e-8
 
 @dataclass(frozen=True)
 class BlochTrajectory:
-    """Time-ordered Bloch vector history with the accumulated pulse area."""
+    """Time-ordered history of the Bloch components v and w, with the accumulated pulse area."""
 
     t: np.ndarray
-    u: np.ndarray
     v: np.ndarray
     w: np.ndarray
     theta: np.ndarray
 
     def __post_init__(self) -> None:
         n = len(self.t)
-        for name in ("u", "v", "w", "theta"):
+        for name in ("v", "w", "theta"):
             if len(getattr(self, name)) != n:
                 raise ValueError("all trajectory columns must have equal length")
         if n < 2 or not np.all(np.diff(self.t) > 0.0):
             raise ValueError("trajectory times must be strictly increasing")
-        for name in ("t", "u", "v", "w", "theta"):
+        for name in ("t", "v", "w", "theta"):
             getattr(self, name).setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.t)
 
     def write_csv(self, path) -> None:
+        """Write t_ps,u,v,w,theta_rad. u is identically 0; the column stays for readers of the file."""
         header = "t_ps,u,v,w,theta_rad"
         write_columns(path, header, finite_columns("trajectory", header, lambda: [
-            s_to_ps(self.t), self.u, self.v, self.w, self.theta,
+            s_to_ps(self.t), ["0.0"] * len(self), self.v, self.w, self.theta,
         ], lambda i: f"t = {self.t[i].item()!r} s"))
 
 
@@ -99,7 +100,7 @@ def _step_count(t_end: float, dt: float) -> int:
 # A seed field near the float maximum overflows theta; the guard names it.
 @np.errstate(over="ignore", invalid="ignore")
 def seed_trajectory(pulse: SeedPulse, medium: TwoLevelMedium, dt: float) -> BlochTrajectory:
-    """The exact trajectory (0, w0 sin theta, w0 cos theta) over [0, tau_r], on integrate_bloch_rwa's grid.
+    """The exact trajectory (v, w) = w0 (sin theta, cos theta) over [0, tau_r], on integrate_bloch_rwa's grid.
 
     Raises NumericalError when eps theta(tau_r) exceeds PHASE_TOLERANCE:
     sin and cos of an angle that large are noise.
@@ -111,7 +112,7 @@ def seed_trajectory(pulse: SeedPulse, medium: TwoLevelMedium, dt: float) -> Bloc
             f"seed angle theta(tau_r) = {theta[-1]:.6e} rad has lost its phase: its rounding, "
             f"eps theta = {sys.float_info.epsilon * theta[-1]:.1e} rad, exceeds {PHASE_TOLERANCE:g} rad"
         )
-    return BlochTrajectory(t, np.zeros_like(t), medium.w0 * np.sin(theta), medium.w0 * np.cos(theta), theta)
+    return BlochTrajectory(t, medium.w0 * np.sin(theta), medium.w0 * np.cos(theta), theta)
 
 
 # A seed field near the float maximum overflows Omega, the RK4 factors or
@@ -128,7 +129,7 @@ def integrate_bloch_rwa(
 
     The closed form's oracle: `sr validate` runs it at its own step counts.
     Classical fixed-step fourth-order Runge-Kutta on (v, w), with the pulse
-    area theta carried along (u stays identically at its initial value 0).
+    area theta carried along; u, which the equations leave at 0, is not.
     The actual step is h = t_end / n with n chosen so the step does not
     exceed the requested dt and the grid lands exactly on t_end.
 
@@ -171,5 +172,5 @@ def integrate_bloch_rwa(
 
     theta = np.concatenate(([0.0], np.cumsum(dtheta)))
     t = np.linspace(0.0, t_end, n + 1)
-    return BlochTrajectory(t, np.zeros_like(t), z.imag.copy(), z.real.copy(), theta)
+    return BlochTrajectory(t, z.imag.copy(), z.real.copy(), theta)
 

@@ -95,14 +95,15 @@ def cmd_seed_phase(cfg: RunConfig, outdir: Path) -> int:
     traj.write_csv(outdir / "bloch_trajectory.csv")
 
     # item() gives Python floats, whose repr the summary is written in.
-    theta, u, v, w = (col[-1].item() for col in (traj.theta, traj.u, traj.v, traj.w))
+    theta, v, w = (col[-1].item() for col in (traj.theta, traj.v, traj.w))
     defect = abs(v**2 + w**2 - medium.w0**2)
     lines = [
         f"theta_tau_r_rad = {theta!r}",
         f"theta_tau_r_over_pi = {theta / math.pi!r}",
         # The same closed-form angle; the line stays for readers of older summaries.
         f"theta_quadrature_rad = {theta!r}",
-        f"u_tau_r = {u!r}",
+        # u is identically 0 in the resonant RWA; the line stays for readers of older summaries.
+        "u_tau_r = 0.0",
         f"v_tau_r = {v!r}",
         f"w_tau_r = {w!r}",
         f"conservation_defect = {defect!r}",

@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import config as cfgmod
-from .bloch import PHASE_TOLERANCE, bloch_angle, integrate_bloch_rwa, rabi_frequency_peak
+from .bloch import PHASE_TOLERANCE, integrate_bloch_rwa, rabi_frequency_peak, seed_trajectory
 from .constants import CONSTANTS, mw_per_cm2_to_w_per_m2, s_to_ps
 from .pressure import dephasing_time, validity_margin
 from .profiles import SECH2_FWHM_EXACT, TemporalTrace, extract_fwhm
@@ -125,34 +125,42 @@ def _seed_order_steps(seed, medium) -> int:
 
 
 def _check_bloch(cfg, handover: Sequence[float]) -> tuple[CheckResult, CheckResult]:
-    """The seed RK4 against the closed form at coarse steps h and h/2, from w0 = 1.
+    """seed_trajectory, which `sr seed-phase` writes, against the seed RK4 and its own norm.
 
-    Every node is compared with (sin theta, cos theta), theta from bloch_angle,
-    and the grid max is used: the error at tau_r alone can lose its h^4 term to
-    cancellation (order 4.86 at seed_intensity_mw_cm2 = 100). No bound depends
-    on a step: the errors must show order 4, which also bounds the norm defect
-    |v^2 + w^2 - 1| by about twice the error, u must stay 0, and each theta_r
-    in `handover` must give w0 (sin, cos) of theta(tau_r) to PHASE_TOLERANCE.
+    bloch-closed-form runs the RK4 at coarse steps h and h/2 from w0 = 1 and
+    compares every node with seed_trajectory on the same grid, using the grid
+    max: the error at tau_r alone can lose its h^4 term to cancellation (order
+    4.86 at seed_intensity_mw_cm2 = 100). No bound depends on a step: the
+    errors must show order 4, and each theta_r in `handover` must give
+    w0 (sin, cos) of theta(tau_r) to PHASE_TOLERANCE. bloch-conservation runs
+    seed_trajectory on the configured medium over the fine grid and bounds
+    |hypot(v, w) / |w0| - 1| by 4 eps: one rounding each of sin or cos, the
+    product with w0, hypot and the division, and one spare. That form is
+    bit-equal under w0 -> w0 2^-j and never divides by an underflowed w0^2.
     """
-    seed = cfgmod.seed_pulse(cfg)
-    unit = dataclasses.replace(cfgmod.medium_template(cfg), w0=1.0)
+    seed, medium = cfgmod.seed_pulse(cfg), cfgmod.medium_template(cfg)
+    unit = dataclasses.replace(medium, w0=1.0)
     n = _seed_order_steps(seed, unit)
-    errors, counts, u_max = [], [], 0.0
-    for steps in (n, 2 * n):
-        run = integrate_bloch_rwa(seed, unit, t_end=seed.tau_r, dt=seed.tau_r / steps)
-        # The kernel derives its count from dt, which can round off by one
-        # (for a subnormal tau_r, say), so the grid is taken from the run.
+    errors, counts = [], []
+    for dt in (seed.tau_r / n, seed.tau_r / (2 * n)):
+        run = integrate_bloch_rwa(seed, unit, t_end=seed.tau_r, dt=dt)
+        # Both derive the grid from dt, which can round the count off by one
+        # (for a subnormal tau_r, say), so the count is taken from the run.
         counts.append(len(run) - 1)
-        theta = bloch_angle(seed, unit, run.t)
-        errors.append(float(np.max(np.hypot(run.v - np.sin(theta), run.w - np.cos(theta)))))
-        u_max = max(u_max, float(np.max(np.abs(run.u))))
+        exact = seed_trajectory(seed, unit, dt)
+        errors.append(float(np.max(np.hypot(run.v - exact.v, run.w - exact.w))))
     steps_text = f"at {counts[0]}/{counts[1]} steps"
-    # The fine run ends exactly on tau_r, so its last angle is theta(tau_r).
-    theta_r = np.asarray(handover)
-    off = [np.sin(theta_r) - np.sin(theta[-1]), np.cos(theta_r) - np.cos(theta[-1])]
+    # The fine grid ends exactly on tau_r, so its last angle is theta(tau_r).
+    theta_r, theta_end = np.asarray(handover), exact.theta[-1]
+    off = [np.sin(theta_r) - np.sin(theta_end), np.cos(theta_r) - np.cos(theta_end)]
     handover_error = abs(cfg.w0) * float(np.max(np.abs(off)))
     order = _observed_order(errors, counts)
-    conservation = CheckResult("bloch-conservation", u_max <= 1e-12, f"max |u| = {u_max:.3e} {steps_text}")
+    written = seed_trajectory(seed, medium, dt)
+    norm_defect = float(np.max(np.abs(np.hypot(written.v, written.w) / abs(medium.w0) - 1.0)))
+    conservation = CheckResult(
+        "bloch-conservation", norm_defect <= 4.0 * sys.float_info.epsilon,
+        f"max ||(v, w)| / |w0| - 1| = {norm_defect:.3e} at {len(written) - 1} steps",
+    )
     closed_form = CheckResult(
         "bloch-closed-form",
         handover_error <= PHASE_TOLERANCE and _order_ok(order),

@@ -84,6 +84,13 @@ def test_angle_array_matches_scalar(seed, template):
     assert bloch_angle(seed, template, np.array([seed.tau_r]))[0] == THETA_R
 
 
+def written_u(tmp_path, traj):
+    """The u column of traj's CSV, as written."""
+    path = tmp_path / "traj.csv"
+    traj.write_csv(path)
+    return [line.split(",")[1] for line in path.read_text().splitlines()[1:]]
+
+
 def closed_form(seed, medium, t):
     """Seed-stage state (v, w) = w0 (sin theta, cos theta), theta in closed form."""
     theta = bloch_angle(seed, medium, t)
@@ -109,9 +116,10 @@ class TestIntegration:
         drift = np.abs(traj.v**2 + traj.w**2 - template.w0**2)
         assert drift.max() <= 1e-9
 
-    def test_u_stays_zero(self, seed, template, dt):
+    def test_u_stays_zero(self, tmp_path, seed, template, dt):
+        """u is not carried: the written u column is 0.0 on every row."""
         traj = integrate_bloch_rwa(seed, template, 4.0 * seed.tau_s, dt)
-        assert np.all(traj.u == 0.0)
+        assert written_u(tmp_path, traj) == ["0.0"] * len(traj)
 
     def test_theta_column_matches_quadrature(self, seed, template, dt):
         traj = integrate_bloch_rwa(seed, template, 4.0 * seed.tau_s, dt)
@@ -201,13 +209,13 @@ class TestIntegration:
 
 class TestSeedTrajectory:
     @pytest.mark.parametrize("dt_over_tau_s", [5e-4, 0.32, 1.2, 3.5675])
-    def test_rk4_grid_and_closed_form(self, seed, template, dt_over_tau_s):
+    def test_rk4_grid_and_closed_form(self, tmp_path, seed, template, dt_over_tau_s):
         dt = dt_over_tau_s * seed.tau_s
         traj = seed_trajectory(seed, template, dt)
         assert traj.t.tolist() == integrate_bloch_rwa(seed, template, seed.tau_r, dt).t.tolist()
         assert traj.theta.tolist() == bloch_angle(seed, template, traj.t).tolist()
         assert traj.theta[-1] == THETA_R
-        assert traj.u.tolist() == [0.0] * len(traj)
+        assert written_u(tmp_path, traj) == ["0.0"] * len(traj)
         assert traj.v.tolist() == (template.w0 * np.sin(traj.theta)).tolist()
         assert traj.w.tolist() == (template.w0 * np.cos(traj.theta)).tolist()
 
@@ -225,10 +233,11 @@ def test_analytic_solution_at_zero(seed, template):
     assert closed_form(seed, template, 0.0) == (0.0, template.w0)
 
 
-def test_trajectory_container(seed, template):
+def test_trajectory_container(tmp_path, seed, template):
     traj = integrate_bloch_rwa(seed, template, 4.0 * seed.tau_s, dt=seed.tau_s / 50)
     assert len(traj) == len(traj.t) == 201
-    assert (traj.u[0], traj.v[0], traj.w[0], traj.theta[0]) == (0.0, 0.0, template.w0, 0.0)
+    assert (traj.v[0], traj.w[0], traj.theta[0]) == (0.0, template.w0, 0.0)
+    assert written_u(tmp_path, traj)[0] == "0.0"
     assert traj.t[-1] == 4.0 * seed.tau_s
 
 
@@ -236,9 +245,11 @@ def test_trajectory_validation():
     t = np.array([0.0, 1.0, 1.0])
     z = np.zeros(3)
     with pytest.raises(ValueError):
-        BlochTrajectory(t=t, u=z, v=z, w=z, theta=z)  # t not strictly increasing
+        BlochTrajectory(t=t, v=z, w=z, theta=z)  # t not strictly increasing
     with pytest.raises(ValueError):
-        BlochTrajectory(t=np.array([0.0, 1.0]), u=z, v=z, w=z, theta=z)
+        BlochTrajectory(t=np.array([0.0, 1.0]), v=z, w=z, theta=z)
+    with pytest.raises(TypeError):
+        BlochTrajectory(t=t, u=z, v=z, w=z, theta=z)  # u is not a field
 
 
 def test_trajectory_arrays_locked(seed, template):

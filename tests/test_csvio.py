@@ -120,7 +120,7 @@ def test_bloch_trajectory(tmp_path, seed, template, dt):
     path = tmp_path / "traj.csv"
     traj.write_csv(path)
     expected = "t_ps,u,v,w,theta_rad\n" + "".join(
-        f"{s_to_ps(float(traj.t[i]))!r},{float(traj.u[i])!r},{float(traj.v[i])!r},"
+        f"{s_to_ps(float(traj.t[i]))!r},0.0,{float(traj.v[i])!r},"
         f"{float(traj.w[i])!r},{float(traj.theta[i])!r}\n"
         for i in range(len(traj.t))
     )

@@ -35,16 +35,17 @@ def test_golden_outputs_lists_every_output(tmp_path, capsys):
     files = [line.split("  ")[2] for line in lines]
     assert files == sorted(files)
     for name in (
-        "seed-phase/bloch_trajectory.csv", "regimes/regime4.csv", "validate/validate_report.txt",
+        "seed-phase/bloch_trajectory.csv", "seed-phase-absorbing/bloch_trajectory.csv",
+        "regimes/regime4.csv", "validate/validate_report.txt",
         "pressure-scan/pressure_scan.csv", "pressure-scan-list/pressure_scan.csv",
         "pressure-scan-absorbing/pressure_scan.csv", "pressure-scan-short-burst/pressure_scan.csv",
         "fit/fits.csv", "fit/pulse_summary.csv",
     ):
         assert name in files
     assert not any(name.endswith("run-manifest.txt") for name in files)
-    # What each of the nine runs printed is pinned with its files.
+    # What each of the ten runs printed is pinned with its files.
     runs = sorted({name.split("/")[0] for name in files} - {"traces"})
-    assert len(runs) == 9
+    assert len(runs) == 10
     assert all(f"{run}/stdout.txt" in files for run in runs)
     rows = {name: int(line.split("  ")[1]) for name, line in zip(files, lines)}
     assert rows["pressure-scan-list/pressure_scan.csv"] == 12  # header and 11 pressures

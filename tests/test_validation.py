@@ -96,10 +96,17 @@ def test_corrupting_any_constant_is_caught(monkeypatch, capsys, tmp_path, name):
     assert failing_checks(capsys, tmp_path) == CONSTANT_DEFECTS[name]
 
 
-def with_u(integrate):
+def longer_v(seed_trajectory):
     def run(*args, **kwargs):
-        traj = integrate(*args, **kwargs)
-        return dataclasses.replace(traj, u=np.full_like(traj.u, 1e-9))
+        traj = seed_trajectory(*args, **kwargs)
+        return dataclasses.replace(traj, v=traj.v * (1.0 + 1e-12))
+    return run
+
+
+def swapped_v_w(seed_trajectory):
+    def run(*args, **kwargs):
+        traj = seed_trajectory(*args, **kwargs)
+        return dataclasses.replace(traj, v=traj.w, w=traj.v)
     return run
 
 
@@ -123,7 +130,15 @@ def later_peak(time_delay):
 
 DEFECTS = [
     pytest.param(scaled(system.peak_field_from_intensity, 1.001), {"seed-field-roundtrip"}, id="seed-field"),
-    pytest.param(wrapped(bloch.integrate_bloch_rwa, with_u), {"bloch-conservation"}, id="u"),
+    # The trajectory `sr seed-phase` writes, as the seed checks read it.
+    pytest.param(
+        wrapped(bloch.seed_trajectory, longer_v, only=("n2sr.validation",)),
+        {"bloch-conservation"}, id="seed_trajectory-norm",
+    ),
+    pytest.param(
+        wrapped(bloch.seed_trajectory, swapped_v_w, only=("n2sr.validation",)),
+        {"bloch-closed-form"}, id="seed_trajectory-swap",
+    ),
     # The angle the burst and the scan are built from, not the seed check's own.
     pytest.param(
         scaled(bloch.bloch_angle, 1.001, only=("n2sr.config", "n2sr.pressure")),
@@ -503,9 +518,10 @@ class TestSeedOrder:
         n = validation._seed_order_steps(config.seed_pulse(cfg), config.medium_template(cfg))
         assert counts == [n, 2 * n] == [58, 116]
 
-    def test_validate_calls_bloch_angle_four_times(self, tmp_path, monkeypatch):
-        """Once each for the reference burst and the scan, and once on the whole
-        grid of each of the seed check's two runs."""
+    def test_validate_calls_bloch_angle_five_times(self, tmp_path, monkeypatch):
+        """Once each for the reference burst and the scan, and once in each of the
+        seed checks' three seed_trajectory calls: on the grid of each RK4 run, and
+        on the fine grid again for the configured medium's norm."""
         original = bloch.bloch_angle
         calls = []
 
@@ -515,7 +531,7 @@ class TestSeedOrder:
 
         rebind(monkeypatch, "bloch_angle", original, spy)
         assert main(["validate", "--out", str(tmp_path)]) == 0
-        assert len(calls) == 4
+        assert len(calls) == 5
 
     def test_third_order_kernel_fails(self, cfg, monkeypatch):
         """An h^3 defect in the kernel fails on its order; the handover stays exact."""
