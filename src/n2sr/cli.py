@@ -22,7 +22,7 @@ from . import config as cfgmod
 from .bloch import seed_trajectory
 from .config import ConfigError, RunConfig, load_config, resolved_items
 from .constants import per_m3_to_per_cm3, s_to_ps
-from .csvio import finite_columns, write_columns, write_tables
+from .csvio import finite_columns, write_columns
 from .errors import NumericalError
 from .pressure import REFERENCE_DENSITY_SLOPE_PER_CM3_MBAR, write_scan_csv
 from .profiles import (
@@ -145,25 +145,28 @@ def cmd_regimes(cfg: RunConfig, outdir: Path) -> int:
 
     # Every column is checked before the first file is written, so a command
     # that fails leaves no output behind. tau_W depends only on |n|, so the
-    # four panels share one time grid and its two columns.
+    # four panels share one time grid, whose two columns are formatted once.
     header = "t_ps,t_rel_tau_W,theta_rad,w,P_over_P0"
     t, tau_r = grid * weak.tau_W, cfgmod.seed_pulse(cfg).tau_r
 
     def row(i):
         return f"t_rel_tau_W = {grid[i].item()!r}"
 
-    shared = finite_columns("regime 1", "t_ps,t_rel_tau_W", lambda: [s_to_ps(tau_r + t), grid], row)
-    tables = [
-        (outdir / f"regime{idx}.csv", header, shared + finite_columns(
-            f"regime {idx}", "theta_rad,w,P_over_P0", lambda: [
-                sol.bloch_angle(t), sol.population_difference(t),
-                sech2_profile(t, 1.0, sol.tau_D, sol.tau_W),
-            ], row))
+    shared = [
+        list(map(repr, col.tolist()))
+        for col in finite_columns("regime 1", "t_ps,t_rel_tau_W", lambda: [s_to_ps(tau_r + t), grid], row)
+    ]
+    panels = [
+        finite_columns(f"regime {idx}", "theta_rad,w,P_over_P0", lambda: [
+            sol.bloch_angle(t), sol.population_difference(t),
+            sech2_profile(t, 1.0, sol.tau_D, sol.tau_W),
+        ], row)
         for idx, sol in enumerate(solutions, start=1)
     ]
     # write_profile_csv checks its columns before it opens the file.
     write_profile_csv(outdir / "profile.csv", weak, weak.time_grid(cfg.window_tau_w, cfg.profile_points), tau_r)
-    write_tables(tables)
+    for idx, columns in enumerate(panels, start=1):
+        write_columns(outdir / f"regime{idx}.csv", header, shared + columns)
     for idx, sol in enumerate(solutions, start=1):
         medium = "inverted" if sol.medium.w0 > 0.0 else "absorbing"
         seed = "weak" if sol.theta_r < 0.5 * math.pi else "strong"

@@ -109,6 +109,7 @@ def _read_file(path: Path) -> dict[str, str]:
     # A bare key=value file is read as one [run] section.
     header = "" if any(line.lstrip().startswith("[") for line in text.splitlines()) else "[run]\n"
     parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str  # match a file key as written, like a --set key
     try:
         parser.read_string(header + text, source=str(path))
     except configparser.Error as exc:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
-from collections import Counter
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -11,7 +9,7 @@ import numpy as np
 
 from .errors import NumericalError
 
-__all__ = ["finite_columns", "write_columns", "write_tables"]
+__all__ = ["finite_columns", "write_columns"]
 
 # Rows formatted per write. Small chunks hold few strings at once, so peak
 # memory stays that of a row-by-row writer; from about 128 rows up the chunk
@@ -20,40 +18,24 @@ _CHUNK_ROWS = 256
 
 
 def write_columns(path, header: str, columns: Sequence) -> None:
-    """Write one table: write_tables([(path, header, columns)])."""
-    write_tables([(path, header, columns)])
-
-
-def write_tables(tables: Sequence[tuple]) -> None:
-    """Write each (path, header, columns) table: its `header` (a line, or
-    several, without the final newline) and then one comma-separated row per
-    index of its `columns`. Every column of every table has the same length,
-    checked before any file is opened.
+    """Write `header` (a line, or several, without the final newline) and then
+    one comma-separated row per index of `columns`. Every column has the same
+    length, checked before the file is opened.
 
     Array columns are converted with `tolist` and written with repr: for a
     float the shortest string that reads back to the same value. Other
     columns are sequences of Python values written with str, which for a
     float is the same repr, for a bool 'True' or 'False' and for a str the
-    text itself. A column object that several tables share is formatted once
-    per chunk of rows.
+    text itself, so a column formatted once as strings can go to several
+    files.
     """
-    every = [col for _, _, columns in tables for col in columns]
-    n = len(every[0])
-    if any(len(col) != n for col in every):
+    n = len(columns[0])
+    if any(len(col) != n for col in columns):
         raise ValueError("columns must have equal length")
-    # Only shared columns are held as lists; the others are formatted as their
-    # rows are joined, which keeps the peak memory of a one-table write.
-    uses = Counter(map(id, every))
-    shared = {id(col): col for col in every if uses[id(col)] > 1}
-    with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(Path(path).open("w")) for path, _, _ in tables]
-        for fh, (_, header, _) in zip(files, tables):
-            fh.write(header + "\n")
+    with Path(path).open("w") as fh:
+        fh.write(header + "\n")
         for lo in range(0, n, _CHUNK_ROWS):
-            formatted = {key: list(_cells(col, lo)) for key, col in shared.items()}
-            for fh, (_, _, columns) in zip(files, tables):
-                cells = [formatted[id(col)] if id(col) in formatted else _cells(col, lo) for col in columns]
-                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            fh.write("\n".join(map(",".join, zip(*(_cells(col, lo) for col in columns)))) + "\n")
 
 
 def _cells(col, lo: int):

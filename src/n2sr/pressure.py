@@ -179,9 +179,10 @@ def total_emitted_energy(medium: TwoLevelMedium, theta_r: float, radius: float):
     power from tau_r onward, which differs by the factor (1 + cos)/2 cos.
     Elementwise in a scan column N. The caller checks that theta_r lies in
     (0, pi) and that the radius is positive, as pressure_scan does once per
-    scan.
+    scan. r^2 is a float64 power, so a radius too large for it gives inf
+    (with numpy's overflow warning) where a float power would raise.
     """
-    volume = math.pi * radius**2 * medium.L
+    volume = math.pi * np.float64(radius) ** 2 * medium.L
     return CONSTANTS.hbar * medium.omega * medium.n * math.cos(theta_r) * volume
 
 
@@ -192,7 +193,7 @@ def emitted_energy_integral(medium: TwoLevelMedium, theta_r: float, radius: floa
 
     n and the argument checks are as in total_emitted_energy.
     """
-    volume = math.pi * radius**2 * medium.L
+    volume = math.pi * np.float64(radius) ** 2 * medium.L
     return 0.5 * CONSTANTS.hbar * medium.omega * medium.n * (1.0 + math.cos(theta_r)) * volume
 
 
@@ -258,8 +259,8 @@ def pressure_scan(
     per-pressure loop. The seed-stage tipping angle does not depend on N,
     so a single theta_r is computed and checked once. Peak intensity and
     total energy are normalized to the maximum-pressure row; any of these
-    four columns that is not finite raises NumericalError, naming it and
-    its first such pressure.
+    four columns, or E_total_integral, that is not finite raises
+    NumericalError, naming it and its first such pressure.
     """
     if len(pressures) == 0:
         raise ValueError("at least one pressure is required")
@@ -291,8 +292,9 @@ def pressure_scan(
     def row(i):
         return f"p = {p[i].item()!r} mbar"
 
-    i_peak, e_total = finite_columns("scan", "I_peak,E_total", lambda: [
+    i_peak, e_total, e_integral = finite_columns("scan", "I_peak,E_total,E_total_integral", lambda: [
         peak_intensity(m), total_emitted_energy(m, theta_r, radius),
+        emitted_energy_integral(m, theta_r, radius),
     ], row)
     i_ref = int(np.argmax(p))
     # A reference row that underflowed to 0 (a tiny radius, say) gives NaN.
@@ -304,7 +306,7 @@ def pressure_scan(
         theta_r=theta_r, p_mbar=p, N=m.N, tau_W=tau_w, tau_D=tau_d,
         I_peak=i_peak, I_peak_norm=i_norm,
         E_total=e_total, E_total_norm=e_norm,
-        E_total_integral=emitted_energy_integral(m, theta_r, radius),
+        E_total_integral=e_integral,
         dephasing=tau_2, validity_margin=margin,
     )
 

@@ -80,6 +80,15 @@ def test_unknown_key_rejected():
         load_config(overrides=["nonsense=1"])
 
 
+def test_key_case_matters_in_file_and_override(tmp_path, capsys):
+    """A file key is matched as written, as a --set key is: W0 is not w0."""
+    path = tmp_path / "run.ini"
+    path.write_text("W0 = 0.2\n")
+    for args in (["--config", str(path)], ["--set", "W0=0.2"]):
+        assert main(["seed-phase", *args, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: unknown config key 'W0'\n"
+
+
 def test_duplicate_key_rejected(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text("[a]\nw0 = 0.1\n[b]\nw0 = 0.2\n")

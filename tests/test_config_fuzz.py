@@ -100,6 +100,7 @@ def run(command: str, overrides: dict, *extra: str) -> tuple[int, str, list[str]
 @given(overrides())
 @example({"lambda_nm": 1e300})
 @example({"radius_um": 1e200})
+@example({"seed_intensity_mw_cm2": 815.5716160877603, "radius_um": 5e159})
 @example({"sigma_cm2": 1e-300, "ionization_fraction": 1e-300})
 @example({"seed_intensity_mw_cm2": 1e290})
 @example({"seed_intensity_mw_cm2": 0.0, "tau_s_ps": 1.7976931348623157e308})

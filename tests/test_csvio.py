@@ -13,7 +13,7 @@ from n2sr import csvio
 from n2sr.bloch import integrate_bloch_rwa
 from n2sr.cli import main
 from n2sr.constants import per_m3_to_per_cm3, ps_to_s, s_to_ps
-from n2sr.csvio import write_columns, write_tables
+from n2sr.csvio import write_columns
 from n2sr.pressure import SCAN_CSV_HEADER, pressure_scan, write_scan_csv
 from n2sr.profiles import (
     PulseSummary,
@@ -73,8 +73,12 @@ class TestWriteColumns:
         assert path.read_text() == "a,b\n"
 
     def test_unequal_lengths_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_columns(tmp_path / "x.csv", "a,b", [np.zeros(3), np.zeros(2)])
+        """Before the file is opened, whichever column is the odd one."""
+        path = tmp_path / "x.csv"
+        for columns in ([np.zeros(3), np.zeros(2)], [np.zeros(4), ["0.0"] * 4, np.zeros(3)]):
+            with pytest.raises(ValueError):
+                write_columns(path, "a,b,c", columns)
+            assert not path.exists()
 
     def test_edge_floats_as_str_writes_them(self, tmp_path):
         """Array cells go through repr, list cells through str: the same bytes."""
@@ -88,31 +92,17 @@ class TestWriteColumns:
         write_columns(path, "ok,n", [np.array([True, False, True]), np.array([0, -7, 2**62])])
         assert path.read_text() == "ok,n\nTrue,0\nFalse,-7\nTrue,4611686018427387904\n"
 
-
-class TestWriteTables:
-    def test_shared_columns_match_single_writes(self, tmp_path, rng):
+    def test_column_formatted_once_serves_several_writes(self, tmp_path, rng):
+        """A column formatted once as repr strings gives the bytes of the array."""
         n = 2 * csvio._CHUNK_ROWS + 7
-        shared = [rng.standard_normal(n), np.arange(n)]
-        tables = [
-            (tmp_path / f"t{k}.csv", f"a,b,c{k}", [*shared, rng.standard_normal(n)]) for k in range(3)
-        ]
-        tables.append((tmp_path / "t3.csv", "b,s", [shared[1], [f"r{i}" for i in range(n)]]))
-        write_tables(tables)
-        for path, header, columns in tables:
-            single = tmp_path / "single.csv"
-            write_columns(single, header, columns)
-            assert path.read_bytes() == single.read_bytes()
-
-    def test_unequal_lengths_rejected_before_any_file(self, tmp_path):
-        tables = [
-            (tmp_path / "a.csv", "a", [np.zeros(3)]),
-            (tmp_path / "b.csv", "b,c", [np.zeros(3), np.zeros(2)]),
-        ]
-        with pytest.raises(ValueError):
-            write_tables(tables)
-        with pytest.raises(ValueError):
-            write_tables([tables[0], (tmp_path / "c.csv", "c", [np.zeros(4)])])
-        assert list(tmp_path.iterdir()) == []
+        t = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        formatted = list(map(repr, t.tolist()))
+        for k in range(3):
+            other = rng.standard_normal(n)
+            as_array, as_text = tmp_path / f"a{k}.csv", tmp_path / f"s{k}.csv"
+            write_columns(as_array, "t,x", [t, other])
+            write_columns(as_text, "t,x", [formatted, other])
+            assert as_text.read_bytes() == as_array.read_bytes()
 
 
 def test_bloch_trajectory(tmp_path, seed, template, dt):
